@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race bench bench-json grid-bench optimize-bench experiments faults-smoke serve-smoke examples vet cover clean
+.PHONY: all build test test-short test-race bench experiments faults-smoke oracle-diff serve-smoke examples vet cover clean
 
 all: vet test
 
@@ -26,30 +26,6 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Record the performance baseline: the -superblock x -checkpoint
-# ablation matrix (timed interleaved at -jobs 1), the jobs-4 pair, and
-# the ablation benchmark ns/op (asserting all outputs are
-# byte-identical), as JSON.
-bench-json:
-	GO="$(GO)" sh scripts/bench_json.sh BENCH_PR7.json
-
-# Record the full-grid sweep baseline: verify gridbench output is
-# byte-identical across -batch x -codec x -dedup x -plan x -jobs x
-# -faults x store cold/warm (including a live v2->v3 migration), then
-# time the PR 9 fast path (batch+v3) against the PR 8 path (per-cell
-# submit, v2 store) cold and warm at 172k cells (override with
-# GRID_CELLS=10000 ID_CELLS=2000 for a quick run), as JSON.
-grid-bench:
-	GO="$(GO)" sh scripts/grid_bench.sh BENCH_PR9.json
-
-# Record the config-optimizer baseline: verify 'spectrebench optimize'
-# prints identical optima across -prune on/off x -jobs x -faults x
-# store cold/warm (warm = pure replay), then time the pruned
-# full-lattice search against brute force and against the full deduped
-# gridbench sweep of the same lattice, as JSON.
-optimize-bench:
-	GO="$(GO)" sh scripts/optimize_bench.sh BENCH_PR10.json
-
 # Run the full experiment registry through the CLI.
 experiments:
 	$(GO) run ./cmd/spectrebench run all
@@ -58,6 +34,11 @@ experiments:
 # deterministic fault injection at a fixed seed.
 faults-smoke:
 	$(GO) run ./cmd/spectrebench -faults -seed 1 run all
+
+# Byte-identity of every host-side accelerator against its reference
+# oracle: run all, gridbench, optimize and the daemon, leg by leg.
+oracle-diff:
+	GO="$(GO)" sh scripts/oracle_diff.sh
 
 # Sweep-as-a-service lifecycle smoke: cold sweep, warm (100% store-hit)
 # sweep after a restart, kill -9 mid-sweep, recovery, graceful drain.

@@ -16,12 +16,12 @@ import (
 	"spectrebench/internal/attacks"
 	"spectrebench/internal/checkpoint"
 	"spectrebench/internal/core"
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/engine"
 	"spectrebench/internal/harness"
 	"spectrebench/internal/isa"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 	"spectrebench/internal/stats"
 	"spectrebench/internal/workloads/lebench"
 	"spectrebench/internal/workloads/lfs"
@@ -383,11 +383,10 @@ func BenchmarkAblationSpeculationOff(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEngineJobs runs a cell-heavy batch (fig3 + whatif
-// share their fully hardened octane/suite cells) through the engine at
-// 1 and 4 workers on cold caches: the parallel/serial wall-clock ratio
-// is the tentpole metric of the scheduler PR.
-func BenchmarkAblationEngineJobs(b *testing.B) {
+// ablationBatch is the cell-heavy batch the engine and oracle ablation
+// benchmarks time: fig3 and whatif-v1hw share their fully hardened
+// octane/suite cells.
+func ablationBatch(b *testing.B) []harness.Experiment {
 	exps := make([]harness.Experiment, 0, 2)
 	for _, id := range []string{"fig3", "whatif-v1hw"} {
 		e, ok := harness.Lookup(id)
@@ -396,16 +395,31 @@ func BenchmarkAblationEngineJobs(b *testing.B) {
 		}
 		exps = append(exps, e)
 	}
+	return exps
+}
+
+// superviseBatch runs exps once on a fresh engine with jobs workers and
+// opts, so every run simulates on cold memoization caches, and returns
+// the engine's memo hit and miss totals.
+func superviseBatch(b *testing.B, exps []harness.Experiment, jobs int, opts simscope.Options) (hits, misses uint64) {
+	eng := engine.NewWithOptions(jobs, opts)
+	defer eng.Close()
+	results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
+	if n := harness.Failed(results); n != 0 {
+		b.Fatalf("%d experiments failed", n)
+	}
+	return eng.Stats()
+}
+
+// BenchmarkAblationEngineJobs runs the ablation batch through the
+// engine at 1, 2, 4 and 8 workers on cold caches: the parallel/serial
+// wall-clock ratio is the scheduler's headline metric.
+func BenchmarkAblationEngineJobs(b *testing.B) {
+	exps := ablationBatch(b)
 	for _, jobs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := engine.New(jobs)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-				hits, misses := eng.Stats()
-				eng.Close()
+				hits, misses := superviseBatch(b, exps, jobs, simscope.Options{})
 				if i == b.N-1 {
 					b.ReportMetric(float64(hits), "cache-hits")
 					b.ReportMetric(float64(misses), "cache-misses")
@@ -415,113 +429,64 @@ func BenchmarkAblationEngineJobs(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBlockCache runs the same cell-heavy batch with the
-// decoded basic-block cache enabled and disabled: the on/off wall-clock
-// ratio is the tentpole metric of the block-cache PR. Output is
-// byte-identical either way (CI diffs the full `run all` output), so the
-// two sub-benchmarks measure pure interpreter speed. Engines are created
-// per iteration so every run simulates on cold memoization caches.
-func BenchmarkAblationBlockCache(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "blockcache=on"
-		if !on {
-			name = "blockcache=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultBlockCache(on)
-			defer cpu.SetDefaultBlockCache(prev)
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMemFast runs the cell-heavy batch with the
-// memory-path fast path (epoch-stamped cache/TLB flushes, MRU way
-// hints, translation and page caching) enabled and disabled: the
-// on/off wall-clock ratio is the tentpole metric of the memory-path
-// PR. Output is byte-identical either way (CI diffs the full `run all`
-// output), so the two sub-benchmarks measure pure memory-model speed.
-// Engines are created per iteration so every run simulates on cold
-// memoization caches.
-func BenchmarkAblationMemFast(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "memfast=on"
-		if !on {
-			name = "memfast=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultMemFast(on)
-			defer cpu.SetDefaultMemFast(prev)
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCorePool runs the cell-heavy batch with the CPU core
-// pool enabled and disabled: the on/off allocation and wall-clock deltas
-// are the tentpole metric of the pooled-cores PR. Output is
-// byte-identical either way (the determinism suite and CI both diff it),
-// so the two sub-benchmarks isolate pure construction/GC cost; watch the
-// B/op and allocs/op columns. Engines are created per iteration so every
-// run simulates on cold memoization caches.
-func BenchmarkAblationCorePool(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "corepool=on"
-		if !on {
-			name = "corepool=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultCorePool(on)
-			defer cpu.SetDefaultCorePool(prev)
+// benchOracle times the ablation batch with one host-side accelerator
+// on (the zero Options) and off (the oracle), at jobs workers. Output
+// is byte-identical in both arms — the harness oracle matrix and CI
+// diff it — so the on/off ratio is the accelerator's pure speed-up;
+// B/op and allocs/op show what it saves in construction and GC. With
+// checkpointing off in the oracle arm, the registry is cleared before
+// every iteration so the "on" arm pays first-touch builds and then
+// forks, exactly the cold-process `run all` profile.
+func benchOracle(b *testing.B, flag string, jobs int, off simscope.Options) {
+	exps := ablationBatch(b)
+	for _, arm := range []struct {
+		name string
+		opts simscope.Options
+	}{{flag + "=on", simscope.Options{}}, {flag + "=off", off}} {
+		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
+			if off.NoCheckpoint {
+				defer checkpoint.Clear()
+			}
 			for i := 0; i < b.N; i++ {
-				eng := engine.New(4)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
+				if off.NoCheckpoint {
+					checkpoint.Clear()
 				}
+				superviseBatch(b, exps, jobs, arm.opts)
 			}
 		})
 	}
+}
+
+// BenchmarkAblationBlockCache: decoded basic blocks vs the reference
+// interpreter.
+func BenchmarkAblationBlockCache(b *testing.B) {
+	benchOracle(b, "blockcache", 1, simscope.Options{NoBlockCache: true})
+}
+
+// BenchmarkAblationMemFast: epoch-stamped cache/TLB flushes, MRU way
+// hints and translation/page caching vs eager flushes and full scans.
+func BenchmarkAblationMemFast(b *testing.B) {
+	benchOracle(b, "memfast", 1, simscope.Options{NoMemFast: true})
+}
+
+// BenchmarkAblationCorePool: recycled cores vs fresh construction, at
+// four workers.
+func BenchmarkAblationCorePool(b *testing.B) {
+	benchOracle(b, "corepool", 4, simscope.Options{NoCorePool: true})
+}
+
+// BenchmarkAblationSuperblock: superblock chaining vs plain block
+// dispatch (block cache on in both arms).
+func BenchmarkAblationSuperblock(b *testing.B) {
+	benchOracle(b, "superblock", 1, simscope.Options{NoSuperblock: true})
+}
+
+// BenchmarkAblationCheckpoint: forking kernel stubs, COW page-table
+// templates, JIT compiles and assembled programs from the checkpoint
+// registry vs rebuilding them per cell.
+func BenchmarkAblationCheckpoint(b *testing.B) {
+	benchOracle(b, "checkpoint", 1, simscope.Options{NoCheckpoint: true})
 }
 
 // BenchmarkAblationEngineCacheWarm measures a warm-cache re-run: the
@@ -546,81 +511,4 @@ func BenchmarkAblationEngineCacheWarm(b *testing.B) {
 	}
 	hits, _ := eng.Stats()
 	b.ReportMetric(float64(hits), "cache-hits")
-}
-
-// BenchmarkAblationSuperblock runs the cell-heavy batch with superblock
-// chaining enabled and disabled (block cache on in both arms): the
-// on/off wall-clock ratio isolates what trace formation buys over plain
-// block dispatch. Output is byte-identical either way (the determinism
-// suite and CI both diff it), so the two sub-benchmarks measure pure
-// dispatch-loop speed. Engines are created per iteration so every run
-// simulates on cold memoization caches.
-func BenchmarkAblationSuperblock(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "superblock=on"
-		if !on {
-			name = "superblock=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := cpu.SetDefaultSuperblock(on)
-			defer cpu.SetDefaultSuperblock(prev)
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCheckpoint runs the cell-heavy batch with
-// checkpointed warmup enabled and disabled: with it on, cells fork
-// kernel stubs, COW page-table templates, JIT compiles and assembled
-// workload programs from the process-wide registry instead of
-// rebuilding them per cell. The registry is cleared before every
-// iteration, so the "on" arm pays first-touch builds and then forks —
-// exactly the cold-process `run all` profile. Output is byte-identical
-// either way.
-func BenchmarkAblationCheckpoint(b *testing.B) {
-	exps := make([]harness.Experiment, 0, 2)
-	for _, id := range []string{"fig3", "whatif-v1hw"} {
-		e, ok := harness.Lookup(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		exps = append(exps, e)
-	}
-	for _, on := range []bool{true, false} {
-		name := "checkpoint=on"
-		if !on {
-			name = "checkpoint=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			prev := checkpoint.SetDefault(on)
-			defer func() {
-				checkpoint.SetDefault(prev)
-				checkpoint.Clear()
-			}()
-			for i := 0; i < b.N; i++ {
-				checkpoint.Clear()
-				eng := engine.New(1)
-				results := harness.SuperviseAll(exps, harness.RunConfig{Engine: eng})
-				eng.Close()
-				if n := harness.Failed(results); n != 0 {
-					b.Fatalf("%d experiments failed", n)
-				}
-			}
-		})
-	}
 }

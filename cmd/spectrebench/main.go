@@ -51,11 +51,10 @@ import (
 	"syscall"
 	"time"
 
-	checkpointpkg "spectrebench/internal/checkpoint"
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/engine"
 	"spectrebench/internal/harness"
 	"spectrebench/internal/server"
+	"spectrebench/internal/simscope"
 	"spectrebench/internal/store"
 )
 
@@ -100,10 +99,6 @@ func mainExitCode() int {
 		"optimize: dominance pruning on|off (ablation; the optima are byte-identical either way)")
 	combos := flag.Int("combos", 0,
 		"optimize: restrict the lattice to the first N boot-param combos per uarch (0 = full lattice)")
-	batch := flag.String("batch", "on",
-		"batch submission: enqueue each grid slice as one planner unit with inline fan-out of finished classes: on|off (ablation; output is byte-identical either way)")
-	codec := flag.String("codec", "v3",
-		"store record codec: v3 (binary records, sidecar links, manifest) or v2 (legacy gob replay ablation; output is byte-identical either way)")
 	gzipHTTP := flag.String("gzip", "on",
 		"client: request gzip-compressed sweep streams from the daemon: on|off (transport only; output is byte-identical either way)")
 	verbose := flag.Bool("v", false, "print the engine's cell-cache breakdown to stderr after run/gridbench")
@@ -124,85 +119,30 @@ func mainExitCode() int {
 	flag.Parse()
 
 	engine.SetDefaultJobs(*jobs)
-	switch *dedup {
-	case "on":
-		engine.SetDedupDefault(true)
-	case "off":
-		engine.SetDedupDefault(false)
-	default:
-		fmt.Fprintf(os.Stderr, "spectrebench: -dedup must be on or off, got %q\n", *dedup)
-		return 2
+	var opts simscope.Options
+	var pruneOff, gzipOff bool
+	for _, sw := range []struct {
+		name, val string
+		off       *bool
+	}{
+		{"dedup", *dedup, &opts.NoDedup},
+		{"plan", *plan, &opts.NoPlan},
+		{"blockcache", *blockcache, &opts.NoBlockCache},
+		{"corepool", *corepool, &opts.NoCorePool},
+		{"memfast", *memfast, &opts.NoMemFast},
+		{"superblock", *superblock, &opts.NoSuperblock},
+		{"checkpoint", *checkpoint, &opts.NoCheckpoint},
+		{"prune", *prune, &pruneOff},
+		{"gzip", *gzipHTTP, &gzipOff},
+	} {
+		off, ok := parseOnOff(sw.val)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "spectrebench: -%s must be on or off, got %q\n", sw.name, sw.val)
+			return 2
+		}
+		*sw.off = off
 	}
-	switch *plan {
-	case "on":
-		engine.SetPlanDefault(true)
-	case "off":
-		engine.SetPlanDefault(false)
-	default:
-		fmt.Fprintf(os.Stderr, "spectrebench: -plan must be on or off, got %q\n", *plan)
-		return 2
-	}
-	switch *blockcache {
-	case "on":
-		cpu.SetDefaultBlockCache(true)
-	case "off":
-		cpu.SetDefaultBlockCache(false)
-	default:
-		fmt.Fprintf(os.Stderr, "spectrebench: -blockcache must be on or off, got %q\n", *blockcache)
-		return 2
-	}
-	switch *corepool {
-	case "on":
-		cpu.SetDefaultCorePool(true)
-	case "off":
-		cpu.SetDefaultCorePool(false)
-	default:
-		fmt.Fprintf(os.Stderr, "spectrebench: -corepool must be on or off, got %q\n", *corepool)
-		return 2
-	}
-	switch *memfast {
-	case "on":
-		cpu.SetDefaultMemFast(true)
-	case "off":
-		cpu.SetDefaultMemFast(false)
-	default:
-		fmt.Fprintf(os.Stderr, "spectrebench: -memfast must be on or off, got %q\n", *memfast)
-		return 2
-	}
-	switch *superblock {
-	case "on":
-		cpu.SetDefaultSuperblock(true)
-	case "off":
-		cpu.SetDefaultSuperblock(false)
-	default:
-		fmt.Fprintf(os.Stderr, "spectrebench: -superblock must be on or off, got %q\n", *superblock)
-		return 2
-	}
-	switch *checkpoint {
-	case "on":
-		checkpointpkg.SetDefault(true)
-	case "off":
-		checkpointpkg.SetDefault(false)
-	default:
-		fmt.Fprintf(os.Stderr, "spectrebench: -checkpoint must be on or off, got %q\n", *checkpoint)
-		return 2
-	}
-	if *prune != "on" && *prune != "off" {
-		fmt.Fprintf(os.Stderr, "spectrebench: -prune must be on or off, got %q\n", *prune)
-		return 2
-	}
-	if *batch != "on" && *batch != "off" {
-		fmt.Fprintf(os.Stderr, "spectrebench: -batch must be on or off, got %q\n", *batch)
-		return 2
-	}
-	if *codec != store.CodecV3 && *codec != store.CodecV2 {
-		fmt.Fprintf(os.Stderr, "spectrebench: -codec must be %s or %s, got %q\n", store.CodecV3, store.CodecV2, *codec)
-		return 2
-	}
-	if *gzipHTTP != "on" && *gzipHTTP != "off" {
-		fmt.Fprintf(os.Stderr, "spectrebench: -gzip must be on or off, got %q\n", *gzipHTTP)
-		return 2
-	}
+	engine.SetDefaultOptions(opts)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -258,14 +198,12 @@ func mainExitCode() int {
 			fmt.Fprintln(os.Stderr, "run: need at least one experiment id (or 'all')")
 			return 2
 		}
-		return run(os.Stdout, args[1:], *csv, cfg, *storeDir, *codec, *verbose)
+		return run(os.Stdout, args[1:], *csv, cfg, *storeDir, *verbose)
 	case "gridbench":
 		return gridbench(os.Stdout, gridOptions{
 			cells:    *cells,
 			cfg:      cfg,
 			storeDir: *storeDir,
-			codec:    *codec,
-			batch:    *batch == "on",
 			verbose:  *verbose,
 		})
 	case "optimize":
@@ -274,16 +212,14 @@ func mainExitCode() int {
 			workloads: *workloads,
 			uarchs:    *uarch,
 			combos:    *combos,
-			prune:     *prune == "on",
+			prune:     !pruneOff,
 			cfg:       cfg,
 			storeDir:  *storeDir,
-			codec:     *codec,
 			verbose:   *verbose,
 		})
 	case "serve":
 		return serve(serveOptions{
 			storeDir:       *storeDir,
-			codec:          *codec,
 			addr:           *addr,
 			maxInflight:    *maxInflight,
 			requestTimeout: *requestTimeout,
@@ -294,7 +230,7 @@ func mainExitCode() int {
 			fmt.Fprintln(os.Stderr, "client: usage: spectrebench [-addr HOST:PORT] client run <experiment-id>... | all")
 			return 2
 		}
-		return clientRun(args[2:], *csv, cfg, *addr, *httpRetries, *requestTimeout, *gzipHTTP == "on")
+		return clientRun(args[2:], *csv, cfg, *addr, *httpRetries, *requestTimeout, !gzipOff)
 	default:
 		usage()
 		return 2
@@ -310,14 +246,12 @@ usage:
                [-blockcache on|off] [-corepool on|off] [-memfast on|off]
                [-superblock on|off] [-checkpoint on|off] [-dedup on|off]
                [-plan on|off] [-cpuprofile FILE] [-memprofile FILE] [-store DIR]
-               [-codec v3|v2] [-v] run <experiment-id>... | all
+               [-v] run <experiment-id>... | all
   spectrebench [-cells N] [-faults] [-seed N] [-jobs N] [-dedup on|off]
-               [-plan on|off] [-batch on|off] [-store DIR] [-codec v3|v2]
-               [-v] gridbench
+               [-plan on|off] [-store DIR] [-v] gridbench
   spectrebench [-require IDS] [-workloads W,...] [-uarch U,...] [-prune on|off]
-               [-combos N] [-faults] [-seed N] [-jobs N] [-store DIR]
-               [-codec v3|v2] [-v] optimize
-  spectrebench [-store DIR] [-codec v3|v2] [-addr HOST:PORT] [-max-inflight N]
+               [-combos N] [-faults] [-seed N] [-jobs N] [-store DIR] [-v] optimize
+  spectrebench [-store DIR] [-addr HOST:PORT] [-max-inflight N]
                [-request-timeout D] [-drain-timeout D] [-jobs N] serve
   spectrebench [-addr HOST:PORT] [-http-retries N] [-request-timeout D]
                [-csv] [-faults] [-seed N] [-cycle-budget N] [-retries N]
@@ -328,6 +262,18 @@ experiments:
 	for _, e := range harness.All() {
 		fmt.Fprintf(os.Stderr, "  %-16s %-12s %s\n", e.ID, e.Paper, e.Title)
 	}
+}
+
+// parseOnOff reads an on|off flag value as "off" (the polarity of
+// simscope.Options' fields); ok is false for anything else.
+func parseOnOff(v string) (off, ok bool) {
+	switch v {
+	case "on":
+		return false, true
+	case "off":
+		return true, true
+	}
+	return false, false
 }
 
 func list() {
@@ -343,7 +289,7 @@ func list() {
 // cache note, store notes, -v breakdowns — go to stderr, so w carries
 // exactly the result tables: pipe-clean, and byte-identical to a
 // store-less run, an HTTP-fetched sweep, or any ablation flag setting.
-func run(w io.Writer, ids []string, csv bool, cfg harness.RunConfig, storeDir, codec string, verbose bool) int {
+func run(w io.Writer, ids []string, csv bool, cfg harness.RunConfig, storeDir string, verbose bool) int {
 	var exps []harness.Experiment
 	if len(ids) == 1 && ids[0] == "all" {
 		exps = harness.All()
@@ -360,7 +306,6 @@ func run(w io.Writer, ids []string, csv bool, cfg harness.RunConfig, storeDir, c
 
 	if storeDir != "" {
 		st, err := store.Open(storeDir, store.Options{
-			Codec: codec,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
 			},
@@ -395,7 +340,6 @@ func run(w io.Writer, ids []string, csv bool, cfg harness.RunConfig, storeDir, c
 // serveOptions carries the serve subcommand's flags.
 type serveOptions struct {
 	storeDir       string
-	codec          string
 	addr           string
 	maxInflight    int
 	requestTimeout time.Duration
@@ -414,7 +358,7 @@ func serve(opts serveOptions) int {
 	var st *store.Store
 	if opts.storeDir != "" {
 		var err error
-		st, err = store.Open(opts.storeDir, store.Options{Codec: opts.codec, Logf: logf})
+		st, err = store.Open(opts.storeDir, store.Options{Logf: logf})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spectrebench: -store: %v\n", err)
 			return 2

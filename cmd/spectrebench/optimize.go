@@ -25,7 +25,6 @@ type optimizeOptions struct {
 	prune     bool
 	cfg       harness.RunConfig
 	storeDir  string
-	codec     string
 	verbose   bool
 }
 
@@ -70,7 +69,6 @@ func optimizeCmd(w io.Writer, opts optimizeOptions) int {
 	eng := engine.Default()
 	if opts.storeDir != "" {
 		st, err := store.Open(opts.storeDir, store.Options{
-			Codec: opts.codec,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "spectrebench: "+format+"\n", args...)
 			},

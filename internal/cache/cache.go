@@ -7,8 +7,8 @@
 // # Memory-path fast path
 //
 // Two host-side optimisations keep the simulated model byte-identical
-// while removing the dominant per-access costs (the -memfast ablation
-// flag toggles both; see SetFastPath):
+// while removing the dominant per-access costs (the fast argument of New
+// and Reset toggles both; the -memfast ablation flag passes it down):
 //
 //   - Epoch-stamped invalidation. Every line carries the validity epoch
 //     it was filled under; a line is live only when its epoch matches
@@ -28,10 +28,7 @@
 //     the same line).
 package cache
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // LineSize is the cache line size in bytes.
 const LineSize = 64
@@ -41,20 +38,6 @@ const LineShift = 6
 
 // LineBase returns the line-aligned base of a physical address.
 func LineBase(pa uint64) uint64 { return pa &^ uint64(LineSize-1) }
-
-// fastOff is inverted so the zero value means the fast path is on
-// (mirrors cpu's defaultBlockCacheOff).
-var fastOff atomic.Bool
-
-// SetFastPath enables or disables the package's memory-path fast path
-// (epoch-bump flushes and MRU way hints) for subsequently constructed
-// or Reset caches, returning the previous setting. Both modes produce
-// byte-identical simulated state; the -memfast flag and the
-// differential tests flip this around comparisons.
-func SetFastPath(on bool) (prev bool) { return !fastOff.Swap(!on) }
-
-// FastPath reports whether the fast path is enabled for new caches.
-func FastPath() bool { return !fastOff.Load() }
 
 // Cache is one level of a physically-tagged set-associative cache with
 // LRU replacement. Levels are chained through Next; the last level's
@@ -69,7 +52,7 @@ type Cache struct {
 	ways int
 	mask uint64 // sets-1 when sets is a power of two, else 0 with pow2 false
 	pow2 bool
-	fast bool // captured from FastPath at New/Reset
+	fast bool // fixed by New/Reset
 	// lines[set] holds that set's ways, allocated lazily on the first
 	// insert into the set (and the outer slice on the first insert into
 	// the level). Most cores touch a tiny fraction of the outer levels —
@@ -113,14 +96,16 @@ type Config struct {
 }
 
 // New builds a cache hierarchy from outermost-first configs (L1 first).
-// memLatency is the cost of missing all levels.
+// memLatency is the cost of missing all levels; fast selects the
+// memory-path fast path (epoch-bump flushes and MRU way hints) for every
+// level. Both modes produce byte-identical simulated state.
 //
 // New panics on an invalid geometry (fewer than one set). Cache configs
 // come from the static CPU model definitions registered at package init,
 // so a bad geometry is a programming bug surfaced the first time the
 // model is constructed — it can never be triggered by experiment input
 // at runtime, which is why this is a panic rather than an error return.
-func New(memLatency uint64, levels ...Config) *Cache {
+func New(memLatency uint64, fast bool, levels ...Config) *Cache {
 	var first, prev *Cache
 	for _, cfg := range levels {
 		sets := cfg.SizeBytes / LineSize / cfg.Ways
@@ -132,7 +117,7 @@ func New(memLatency uint64, levels ...Config) *Cache {
 			HitLatency: cfg.HitLatency,
 			sets:       sets,
 			ways:       cfg.Ways,
-			fast:       FastPath(),
+			fast:       fast,
 		}
 		if sets&(sets-1) == 0 {
 			c.mask = uint64(sets - 1)
@@ -349,11 +334,10 @@ func (c *Cache) Contents() []uint64 {
 // never-allocated one (lookup checks liveness, insert claims dead ways
 // first), so a Reset hierarchy behaves byte-for-byte like a new one —
 // the property the CPU core pool depends on — without re-zeroing
-// megabytes of tag state per reuse. Reset also re-captures the
-// package-wide fast-path setting, so pooled caches honour an ablation
-// flip at their next checkout.
-func (c *Cache) Reset() {
-	c.fast = FastPath()
+// megabytes of tag state per reuse. fast replaces the setting New
+// fixed, so a pooled cache follows the options of its next owner.
+func (c *Cache) Reset(fast bool) {
+	c.fast = fast
 	if c.fast {
 		c.epoch++
 	} else {
@@ -369,9 +353,12 @@ func (c *Cache) Reset() {
 	c.Hits, c.Misses = 0, 0
 	c.clock = 0
 	if c.Next != nil {
-		c.Next.Reset()
+		c.Next.Reset(fast)
 	}
 }
+
+// Fast reports whether this level runs the memory-path fast path.
+func (c *Cache) Fast() bool { return c.fast }
 
 // ResetStats zeroes hit/miss counters at this and inner levels.
 func (c *Cache) ResetStats() {

@@ -5,8 +5,8 @@ import (
 	"testing/quick"
 )
 
-func newHierarchy() *Cache {
-	return New(200,
+func newHierarchy(fast bool) *Cache {
+	return New(200, fast,
 		Config{Name: "L1", SizeBytes: 32 << 10, Ways: 8, HitLatency: 4},
 		Config{Name: "L2", SizeBytes: 256 << 10, Ways: 8, HitLatency: 12},
 		Config{Name: "LLC", SizeBytes: 8 << 20, Ways: 16, HitLatency: 38},
@@ -14,7 +14,7 @@ func newHierarchy() *Cache {
 }
 
 func TestMissThenHitLatency(t *testing.T) {
-	c := newHierarchy()
+	c := newHierarchy(true)
 	cold := c.Access(0x1000)
 	want := uint64(4 + 12 + 38 + 200)
 	if cold != want {
@@ -35,7 +35,7 @@ func TestMissThenHitLatency(t *testing.T) {
 }
 
 func TestFlushEvictsAllLevels(t *testing.T) {
-	c := newHierarchy()
+	c := newHierarchy(true)
 	c.Access(0x2000)
 	if !c.Probe(0x2000) || !c.Next.Probe(0x2000) || !c.Next.Next.Probe(0x2000) {
 		t.Fatal("fill did not propagate to all levels")
@@ -51,7 +51,7 @@ func TestFlushEvictsAllLevels(t *testing.T) {
 }
 
 func TestFlushAllOnlyThisLevel(t *testing.T) {
-	c := newHierarchy()
+	c := newHierarchy(true)
 	c.Access(0x3000)
 	c.FlushAll() // L1 only — the L1TF mitigation
 	if c.Probe(0x3000) {
@@ -69,7 +69,7 @@ func TestFlushAllOnlyThisLevel(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	// Tiny direct-mapped-ish cache: 2 ways, 2 sets (256 B).
-	c := New(100, Config{Name: "T", SizeBytes: 256, Ways: 2, HitLatency: 1})
+	c := New(100, true, Config{Name: "T", SizeBytes: 256, Ways: 2, HitLatency: 1})
 	if c.Sets() != 2 || c.Ways() != 2 {
 		t.Fatalf("geometry %d sets × %d ways", c.Sets(), c.Ways())
 	}
@@ -91,7 +91,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestTouchChargesNothingButFills(t *testing.T) {
-	c := newHierarchy()
+	c := newHierarchy(true)
 	c.Touch(0x4000)
 	if !c.Probe(0x4000) {
 		t.Fatal("touch did not fill L1")
@@ -105,7 +105,7 @@ func TestTouchChargesNothingButFills(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	c := newHierarchy()
+	c := newHierarchy(true)
 	c.Access(0x100)
 	c.Access(0x100)
 	c.Access(0x100)
@@ -119,7 +119,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestContents(t *testing.T) {
-	c := New(100, Config{Name: "T", SizeBytes: 512, Ways: 2, HitLatency: 1})
+	c := New(100, true, Config{Name: "T", SizeBytes: 512, Ways: 2, HitLatency: 1})
 	c.Access(0x40)
 	c.Access(0x80)
 	got := c.Contents()
@@ -137,7 +137,7 @@ func TestContents(t *testing.T) {
 // Property: probe(pa) is true immediately after access(pa), and flush
 // makes it false, for arbitrary addresses.
 func TestAccessProbeFlushProperty(t *testing.T) {
-	c := newHierarchy()
+	c := newHierarchy(true)
 	f := func(pa uint64) bool {
 		pa &= 0xffff_ffff // keep page-realistic
 		c.Access(pa)
@@ -155,7 +155,7 @@ func TestAccessProbeFlushProperty(t *testing.T) {
 // Property: flush+reload timing distinguishes cached from uncached lines,
 // the primitive all the attacks rely on.
 func TestFlushReloadDistinguishable(t *testing.T) {
-	c := newHierarchy()
+	c := newHierarchy(true)
 	secretLine := uint64(0x10000)
 	otherLine := uint64(0x20000)
 	c.Flush(secretLine)
@@ -174,5 +174,5 @@ func TestBadGeometryPanics(t *testing.T) {
 			t.Fatal("expected panic for invalid geometry")
 		}
 	}()
-	New(100, Config{Name: "bad", SizeBytes: 64, Ways: 8, HitLatency: 1})
+	New(100, true, Config{Name: "bad", SizeBytes: 64, Ways: 8, HitLatency: 1})
 }

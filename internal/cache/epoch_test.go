@@ -6,20 +6,15 @@ import (
 	"testing"
 )
 
-// withFastPath runs f under both fast-path settings as subtests,
-// restoring the package flag afterwards. The epoch-stamped and
-// eager-clear implementations must be observationally identical, so
-// every regression test in this file runs against both.
-func withFastPath(t *testing.T, f func(t *testing.T)) {
+// withFastPath runs f under both fast-path settings as subtests. The
+// epoch-stamped and eager-clear implementations must be observationally
+// identical, so every regression test in this file runs against both.
+func withFastPath(t *testing.T, f func(t *testing.T, fast bool)) {
 	for _, mode := range []struct {
 		name string
 		on   bool
 	}{{"fast", true}, {"eager", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			prev := SetFastPath(mode.on)
-			defer SetFastPath(prev)
-			f(t)
-		})
+		t.Run(mode.name, func(t *testing.T) { f(t, mode.on) })
 	}
 }
 
@@ -28,8 +23,8 @@ func withFastPath(t *testing.T, f func(t *testing.T)) {
 // report every line absent, Contents must be empty, and a re-access
 // must pay the full miss latency — exactly as the eager clear behaves.
 func TestEpochFlushAllObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := newHierarchy()
+	withFastPath(t, func(t *testing.T, fast bool) {
+		c := newHierarchy(fast)
 		for pa := uint64(0); pa < 8*LineSize; pa += LineSize {
 			c.Access(pa)
 		}
@@ -57,14 +52,14 @@ func TestEpochFlushAllObservability(t *testing.T) {
 // reset hierarchy must be indistinguishable from a new one (Probe,
 // Contents, stats, latencies), whichever invalidation mode is active.
 func TestEpochResetObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := newHierarchy()
+	withFastPath(t, func(t *testing.T, fast bool) {
+		c := newHierarchy(fast)
 		for pa := uint64(0); pa < 32*LineSize; pa += LineSize {
 			c.Access(pa)
 			c.Access(pa)
 		}
-		c.Reset()
-		fresh := newHierarchy()
+		c.Reset(fast)
+		fresh := newHierarchy(fast)
 		for lvl, flvl := c, fresh; lvl != nil; lvl, flvl = lvl.Next, flvl.Next {
 			if lvl.Hits != 0 || lvl.Misses != 0 {
 				t.Fatalf("%s stats after Reset = %d/%d, want 0/0", lvl.Name, lvl.Hits, lvl.Misses)
@@ -90,8 +85,8 @@ func TestEpochResetObservability(t *testing.T) {
 // clearing the valid bit of an epoch-dead line must be harmless, and a
 // line refilled after the flush must be evictable by Flush as usual.
 func TestEpochFlushTargetsDeadLines(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := newHierarchy()
+	withFastPath(t, func(t *testing.T, fast bool) {
+		c := newHierarchy(fast)
 		c.Access(0x9000)
 		c.FlushAll()
 		c.Flush(0x9000) // line is already dead at L1; must not resurrect anything
@@ -114,8 +109,8 @@ func TestEpochFlushTargetsDeadLines(t *testing.T) {
 // than evicting by stale LRU timestamps — the behaviour the eager
 // implementation gets for free from cleared valid bits.
 func TestEpochInsertReclaimsDeadWays(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		c := New(100, Config{Name: "T", SizeBytes: 256, Ways: 2, HitLatency: 1})
+	withFastPath(t, func(t *testing.T, fast bool) {
+		c := New(100, fast, Config{Name: "T", SizeBytes: 256, Ways: 2, HitLatency: 1})
 		// Two lines in set 0 (stride = sets*LineSize = 128).
 		c.Access(0)
 		c.Access(128)
@@ -142,7 +137,7 @@ type cacheOp struct {
 
 // applyCacheOp runs one op and returns an observation value that must
 // match between the two implementations (latency, probe result, or 0).
-func applyCacheOp(c *Cache, op cacheOp) uint64 {
+func applyCacheOp(c *Cache, op cacheOp, fast bool) uint64 {
 	switch op.kind {
 	case 0:
 		return c.Access(op.pa)
@@ -153,7 +148,7 @@ func applyCacheOp(c *Cache, op cacheOp) uint64 {
 	case 3:
 		c.FlushAll()
 	case 4:
-		c.Reset()
+		c.Reset(fast)
 	case 5:
 		if c.Probe(op.pa) {
 			return 1
@@ -189,18 +184,14 @@ func compareHierarchies(t *testing.T, ref, fast *Cache, step int) {
 // Touch, Flush, FlushAll, Reset and Probe through an epoch-stamped and
 // an eager-clear hierarchy and requires identical observations
 // throughout: every latency, every probe answer, all statistics, and
-// the exact set of live lines. Resets on the fast instance flip the
-// package flag at random, so histories that mix epoch-stamped and
+// the exact set of live lines. Resets on the fast instance switch its
+// mode at random, so histories that mix epoch-stamped and
 // eagerly-cleared lines in one tag array are covered too.
 func TestEpochDifferentialFuzz(t *testing.T) {
-	prev := FastPath()
-	defer SetFastPath(prev)
-
 	mk := func(fast bool) *Cache {
-		SetFastPath(fast)
 		// Tiny geometry so the fuzz actually collides: 4 sets × 2 ways
 		// over 8 sets × 4 ways.
-		return New(200,
+		return New(200, fast,
 			Config{Name: "T1", SizeBytes: 512, Ways: 2, HitLatency: 3},
 			Config{Name: "T2", SizeBytes: 2048, Ways: 4, HitLatency: 11},
 		)
@@ -231,10 +222,8 @@ func TestEpochDifferentialFuzz(t *testing.T) {
 				// life mixes representations; the reference stays eager.
 				fastMode = r.Intn(2) == 0
 			}
-			SetFastPath(false)
-			refObs := applyCacheOp(ref, op)
-			SetFastPath(fastMode)
-			fastObs := applyCacheOp(fast, op)
+			refObs := applyCacheOp(ref, op, false)
+			fastObs := applyCacheOp(fast, op, fastMode)
 			if refObs != fastObs {
 				t.Fatalf("seed %d step %d: op %d pa %#x observed eager %d fast %d",
 					seed, step, op.kind, op.pa, refObs, fastObs)

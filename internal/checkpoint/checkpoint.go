@@ -2,9 +2,7 @@
 // registry of immutable snapshots taken after a workload's warmup
 // prefix, keyed by everything that determines the warmed-up state (the
 // cell-key prefix: workload identity, uarch, warmup-relevant
-// configuration — plus the ablation-flag fingerprint, since flipped
-// fast-path defaults change host representations mid-process in the
-// differential tests). Cells that share a prefix fork from the snapshot
+// configuration). Cells that share a prefix fork from the snapshot
 // instead of re-simulating it: memory forks by copy-on-write page
 // sharing (mem.Phys.Snapshot/NewPhys — a snapshot costs a page-table
 // copy, not a memory-image clone), and core/kernel state is restored by
@@ -35,21 +33,9 @@ package checkpoint
 import (
 	"sync"
 	"sync/atomic"
+
+	"spectrebench/internal/simscope"
 )
-
-// defaultOff is inverted so the zero value means checkpointing is on
-// (mirrors the other ablation flags).
-var defaultOff atomic.Bool
-
-// SetDefault enables or disables checkpointed warmup process-wide,
-// returning the previous setting. The -checkpoint=on|off flag calls
-// this once at startup; tests flip it around ablation comparisons.
-func SetDefault(on bool) (prev bool) {
-	return !defaultOff.Swap(!on)
-}
-
-// Default reports whether checkpointed warmup is enabled.
-func Default() bool { return !defaultOff.Load() }
 
 // entry is one once-guarded snapshot slot.
 type entry struct {
@@ -72,15 +58,18 @@ func Stats() (h, m uint64) { return hits.Load(), misses.Load() }
 // Get returns the snapshot stored under key, building it with build on
 // first use. All callers of the same key receive the same value; build
 // runs exactly once per key for the life of the process. Returns
-// (nil, false) without consulting the registry when checkpointing is
-// disabled — the caller must then run its cold path.
+// (nil, false) without consulting the registry when sc's options set
+// NoCheckpoint — the caller must then run its cold path. sc is the
+// simulation scope the caller runs under (typically its core's Scope;
+// nil means checkpointing on): kernel boots call Get several times each,
+// too often to resolve the goroutine's scope on every call.
 //
 // build must produce a value that is (a) immutable or only ever cloned
 // from, and (b) a pure function of key: the key must encode every input
-// the snapshot depends on, including ablation-flag state for anything
-// holding host-representation-sensitive structures.
-func Get(key string, build func() any) (any, bool) {
-	if !Default() {
+// the snapshot depends on. Snapshots hold no host-side accelerator
+// state, so cells with different Options share them safely.
+func Get(sc *simscope.Scope, key string, build func() any) (any, bool) {
+	if simscope.OptionsOf(sc).NoCheckpoint {
 		return nil, false
 	}
 	e, loaded := registry.Load(key)
@@ -97,9 +86,9 @@ func Get(key string, build func() any) (any, bool) {
 	return ent.v, true
 }
 
-// Clear drops every snapshot (tests; flag flips around differential
-// comparisons must not reuse snapshots built under the other setting —
-// keys embed the flag fingerprint, but Clear keeps memory bounded).
+// Clear drops every snapshot and zeroes the hit/miss counters (tests
+// that need a cold registry; the registry is process-wide, so such
+// tests must not run in parallel with other simulations).
 func Clear() {
 	registry.Range(func(k, _ any) bool {
 		registry.Delete(k)

@@ -51,8 +51,6 @@
 package cpu
 
 import (
-	"sync/atomic"
-
 	"spectrebench/internal/faultinject"
 	"spectrebench/internal/isa"
 	"spectrebench/internal/mem"
@@ -63,36 +61,6 @@ import (
 // unrolled bodies the workloads run, short enough that a block never
 // outruns its 4 KiB page (1024 instructions).
 const maxBlockLen = 64
-
-// defaultBlockCache is the package default copied into new cores — the
-// -blockcache=on|off ablation flag. On unless turned off.
-var defaultBlockCacheOff atomic.Bool
-
-// SetDefaultBlockCache sets whether newly constructed cores use the
-// decoded basic-block fast path, returning the previous default. The
-// -blockcache flag calls this once at startup; tests flip it around
-// ablation comparisons.
-func SetDefaultBlockCache(on bool) (prev bool) {
-	return !defaultBlockCacheOff.Swap(!on)
-}
-
-// DefaultBlockCache reports the current package default.
-func DefaultBlockCache() bool { return !defaultBlockCacheOff.Load() }
-
-// defaultSuperblockOff is the package default for superblock chaining —
-// the -superblock=on|off ablation flag. On unless turned off.
-var defaultSuperblockOff atomic.Bool
-
-// SetDefaultSuperblock sets whether newly constructed cores chain block
-// exits (superblock/trace formation), returning the previous default.
-// The -superblock flag calls this once at startup; tests flip it around
-// ablation comparisons.
-func SetDefaultSuperblock(on bool) (prev bool) {
-	return !defaultSuperblockOff.Swap(!on)
-}
-
-// DefaultSuperblock reports the current package default.
-func DefaultSuperblock() bool { return !defaultSuperblockOff.Load() }
 
 // codeState is the fetch-path bookkeeping shared between SMT siblings.
 type codeState struct {

@@ -247,24 +247,21 @@ type Core struct {
 	Thunks map[uint64]func(*Core)
 
 	// BlockCache enables the decoded basic-block fast path (StepBlock).
-	// New cores copy the package default set via SetDefaultBlockCache
-	// (the -blockcache ablation flag); with it off, StepBlock degrades to
-	// plain Step.
+	// New cores take it from the scope's options (the -blockcache
+	// ablation flag); with it off, StepBlock degrades to plain Step.
 	BlockCache bool
 
 	// MemFast enables the memory-path fast path: the core-side
 	// last-translation and page-table pointer caches (see memfast.go).
-	// New cores copy the package default set via SetDefaultMemFast (the
-	// -memfast ablation flag). The cache/TLB/Phys structures capture the
-	// corresponding package settings themselves at construction/Reset.
+	// New cores take it from the scope's options (the -memfast ablation
+	// flag) and pass the same bit to the cache/TLB/Phys constructors.
 	MemFast bool
 
 	// Superblock enables superblock chaining on top of the block cache:
 	// StepBlock follows resolved branch exits directly into the successor
 	// block (trace formation) instead of returning to the caller's
-	// dispatch loop. New cores copy the package default set via
-	// SetDefaultSuperblock (the -superblock ablation flag). It has no
-	// effect with BlockCache off.
+	// dispatch loop. New cores take it from the scope's options (the
+	// -superblock ablation flag). It has no effect with BlockCache off.
 	Superblock bool
 
 	// xcFetch/xcData are the per-stream last-translation caches (fetch
@@ -311,7 +308,8 @@ type Core struct {
 
 	// noPool excludes this core from the recycle pool: SMT siblings
 	// share microarchitectural structures, so recycling either half
-	// would alias them across cells.
+	// would alias them across cells; cores built with NoCorePool are
+	// the fresh-construction oracle.
 	noPool bool
 
 	// poolGen counts checkouts from the core pool. Each recycle path
@@ -322,23 +320,25 @@ type Core struct {
 }
 
 // New constructs a core for the given CPU model with its own memory
-// system and predictor state. When core pooling is enabled (the
-// default; see SetDefaultCorePool) the geometry-sized structures come
-// from a per-uarch recycle pool, and the core is returned to it when
-// the current simulation scope is released.
+// system and predictor state. The current simulation scope's Options
+// select the host-side accelerators. Unless NoCorePool is set, the
+// geometry-sized structures come from a per-uarch recycle pool, and the
+// core is returned to it when the scope is released.
 func New(m *model.CPU) *Core {
 	sc := simscope.Current()
-	if DefaultCorePool() {
-		if c := checkoutPooled(m, sc); c != nil {
+	opts := simscope.OptionsOf(sc)
+	if !opts.NoCorePool {
+		if c := checkoutPooled(m, sc, opts); c != nil {
 			retainOnScope(c, sc)
 			return c
 		}
 	}
+	fast := !opts.NoMemFast
 	c := &Core{
 		Model:       m,
-		Phys:        mem.NewPhys(),
+		Phys:        mem.NewPhys(fast),
 		PTs:         mem.NewRegistry(),
-		TLB:         tlb.New(64, 8),
+		TLB:         tlb.New(64, 8, fast),
 		RSB:         branch.NewRSB(m.RSBDepth),
 		Cond:        branch.NewCondPredictor(12),
 		BHB:         &branch.BHB{},
@@ -349,15 +349,16 @@ func New(m *model.CPU) *Core {
 		SpecEnabled: true,
 		msrs:        make(map[uint32]uint64),
 		Thunks:      make(map[uint64]func(*Core)),
-		BlockCache:  DefaultBlockCache(),
-		MemFast:     DefaultMemFast(),
-		Superblock:  DefaultSuperblock(),
+		BlockCache:  !opts.NoBlockCache,
+		MemFast:     fast,
+		Superblock:  !opts.NoSuperblock,
 		code:        &codeState{},
 		FI:          faultinject.FromActiveScope(sc, m.Uarch),
 		scope:       sc,
+		noPool:      opts.NoCorePool,
 	}
 	c.CycleBudget = scopeCycleBudget(c.scope)
-	c.L1 = cache.New(m.Costs.Mem,
+	c.L1 = cache.New(m.Costs.Mem, fast,
 		cache.Config{Name: "L1d", SizeBytes: 32 << 10, Ways: 8, HitLatency: m.Costs.CacheL1},
 		cache.Config{Name: "L2", SizeBytes: 512 << 10, Ways: 8, HitLatency: m.Costs.CacheL2 - m.Costs.CacheL1},
 		cache.Config{Name: "LLC", SizeBytes: 8 << 20, Ways: 16, HitLatency: m.Costs.CacheLLC - m.Costs.CacheL2},
@@ -371,6 +372,10 @@ func New(m *model.CPU) *Core {
 	retainOnScope(c, sc)
 	return c
 }
+
+// Scope returns the simulation scope the core was built or checked out
+// under, or nil outside any managed scope.
+func (c *Core) Scope() *simscope.Scope { return c.scope }
 
 // NewSMTSibling returns a second logical CPU sharing the physical core's
 // memory system, caches, fill buffers and predictors with c — the

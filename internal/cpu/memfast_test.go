@@ -5,19 +5,28 @@ import (
 
 	"spectrebench/internal/mem"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
+
+// newWithOptions constructs a core for m under a throwaway scope
+// carrying opts, the way a cell scope hands its options to New.
+func newWithOptions(m *model.CPU, opts simscope.Options) *Core {
+	restore := simscope.Enter(&simscope.Scope{Options: opts})
+	defer restore()
+	return New(m)
+}
 
 // newMemFuzzCore builds one core for the memfast differential tests.
 // The pair shares the blockcache fuzzer's program generator and layout
 // (two PCID-tagged page tables, JIT self-replacement, fault-injected
 // TLB glitches) and differs only in the memory-path fast path: the
-// package-level cache/TLB/Phys fast flags and the core's MemFast gate
-// are flipped together around construction, exactly as the -memfast
-// flag does.
+// core is constructed under a scope whose NoMemFast option gates the
+// cache/TLB/Phys structures and the core's MemFast together, exactly
+// as the -memfast flag does.
 func newMemFuzzCore(t *testing.T, m *model.CPU, seed uint64, fast bool) *Core {
 	t.Helper()
-	prev := SetDefaultMemFast(fast)
-	defer SetDefaultMemFast(prev)
+	restore := simscope.Enter(&simscope.Scope{Options: simscope.Options{NoMemFast: !fast}})
+	defer restore()
 	return newFuzzCore(t, m, seed, true)
 }
 
@@ -90,9 +99,7 @@ func TestMemFastDifferentialLockstep(t *testing.T) {
 // translation-cache invalidation tests.
 func newXlateTestCore(t *testing.T) (c *Core, pt1, pt2 *mem.PageTable) {
 	t.Helper()
-	prev := SetDefaultMemFast(true)
-	defer SetDefaultMemFast(prev)
-	c = New(model.SkylakeClient())
+	c = newWithOptions(model.SkylakeClient(), simscope.Options{})
 	pt1 = c.PTs.NewTable(1)
 	pt2 = c.PTs.NewTable(2)
 	pt1.MapRange(dataBase, dataBase, 4, true, true, true, false)
@@ -158,25 +165,25 @@ func TestXlateCacheFlushInvalidates(t *testing.T) {
 	}
 }
 
-// TestMemFastPooledCoreHonoursFlip checks a pooled core re-captures the
-// process-wide memfast default at checkout — an ablation flip between
-// cells must not be defeated by recycling.
+// TestMemFastPooledCoreHonoursFlip checks a pooled core takes the
+// options of the scope that checks it out — a fast cell and an oracle
+// cell sharing one pool must not leak a setting through recycling, down
+// to the cache and TLB it reuses.
 func TestMemFastPooledCoreHonoursFlip(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
-	prev := SetDefaultMemFast(true)
-	defer SetDefaultMemFast(prev)
-
 	m := model.SkylakeClient()
-	c := New(m)
-	if !c.MemFast {
-		t.Fatal("core built with memfast on reports MemFast == false")
+	for checkoutPooled(m, nil, simscope.Options{}) != nil {
+	}
+	c := newWithOptions(m, simscope.Options{})
+	if !c.MemFast || !c.TLB.Fast() || !c.L1.Fast() || !c.BlockCache || !c.Superblock {
+		t.Fatal("core built with the zero Options reports a slow path")
 	}
 	c.Recycle()
-	SetDefaultMemFast(false)
-	c2 := New(m)
+	c2 := newWithOptions(m, simscope.Options{NoMemFast: true, NoBlockCache: true, NoSuperblock: true})
 	defer c2.Recycle()
-	if c2.MemFast {
-		t.Fatal("recycled core kept MemFast on after the default was flipped off")
+	if c2 != c {
+		t.Fatal("the recycled core was not reused")
+	}
+	if c2.MemFast || c2.TLB.Fast() || c2.L1.Fast() || c2.BlockCache || c2.Superblock {
+		t.Fatal("recycled core kept a fast path its new scope turned off")
 	}
 }

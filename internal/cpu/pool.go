@@ -22,7 +22,6 @@ package cpu
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"spectrebench/internal/branch"
 	"spectrebench/internal/faultinject"
@@ -31,20 +30,6 @@ import (
 	"spectrebench/internal/model"
 	"spectrebench/internal/simscope"
 )
-
-// defaultCorePoolOff is inverted so the zero value means pooling is on
-// (mirrors defaultBlockCacheOff).
-var defaultCorePoolOff atomic.Bool
-
-// SetDefaultCorePool enables or disables core pooling process-wide and
-// returns the previous setting. The -corepool flag and the ablation
-// benchmarks use this; pooling is on by default.
-func SetDefaultCorePool(on bool) (prev bool) {
-	return !defaultCorePoolOff.Swap(!on)
-}
-
-// DefaultCorePool reports whether core pooling is enabled.
-func DefaultCorePool() bool { return !defaultCorePoolOff.Load() }
 
 // corePools maps uarch name -> *sync.Pool of *Core. Keying by uarch
 // guarantees every core in a pool has geometry-compatible BTB/TLB/cache
@@ -59,39 +44,40 @@ func poolFor(uarch string) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// checkoutPooled returns a recycled core reinitialised for m under sc,
-// or nil when the pool is empty.
-func checkoutPooled(m *model.CPU, sc *simscope.Scope) *Core {
+// checkoutPooled returns a recycled core reinitialised for m under sc
+// with opts, or nil when the pool is empty.
+func checkoutPooled(m *model.CPU, sc *simscope.Scope, opts simscope.Options) *Core {
 	v := poolFor(m.Uarch).Get()
 	if v == nil {
 		return nil
 	}
 	c := v.(*Core)
-	c.reinit(m, sc)
+	c.reinit(m, sc, opts)
 	return c
 }
 
 // retainOnScope schedules c for recycling when sc is released. With no
-// scope (or pooling off) the core is simply garbage-collected. The
+// scope (or pooling off for c) the core is simply garbage-collected. The
 // deferred cleanup captures the checkout generation so it becomes a
 // no-op if the caller recycles the core explicitly first (Recycle) and
 // the pool hands it to someone else before the scope ends.
 func retainOnScope(c *Core, sc *simscope.Scope) {
-	if sc != nil && DefaultCorePool() {
+	if sc != nil && !c.noPool {
 		gen := c.poolGen.Load()
 		sc.Defer(func() { c.recycle(gen) })
 	}
 }
 
 // reinit returns a recycled core to the observable state New(m) would
-// produce under scope sc. Every model-derived parameter is re-applied —
-// pools are keyed by uarch, but latencies, speculation parameters and
-// ARCH_CAPABILITIES are refreshed from m regardless, so a mutated model
-// value can never leak between cells through the pool. The fault
-// injector is derived exactly as in New (one scope sequence number), so
-// injector streams are identical whether a cell gets a fresh or a
-// recycled core.
-func (c *Core) reinit(m *model.CPU, sc *simscope.Scope) {
+// produce under scope sc with options opts. Every model-derived
+// parameter is re-applied — pools are keyed by uarch, but latencies,
+// speculation parameters and ARCH_CAPABILITIES are refreshed from m
+// regardless, so a mutated model value can never leak between cells
+// through the pool. The fault injector is derived exactly as in New (one
+// scope sequence number), so injector streams are identical whether a
+// cell gets a fresh or a recycled core.
+func (c *Core) reinit(m *model.CPU, sc *simscope.Scope, opts simscope.Options) {
+	fast := !opts.NoMemFast
 	// Architectural state.
 	c.Model = m
 	c.Regs = [isa.NumRegs]uint64{}
@@ -111,7 +97,7 @@ func (c *Core) reinit(m *model.CPU, sc *simscope.Scope) {
 	// rebuilt rather than scrubbed.
 	c.Guest = false
 	c.Nested = nil
-	c.Phys = mem.NewPhys()
+	c.Phys = mem.NewPhys(fast)
 	c.PTs = mem.NewRegistry()
 
 	// Microarchitectural structures: reset in place, re-deriving every
@@ -119,12 +105,12 @@ func (c *Core) reinit(m *model.CPU, sc *simscope.Scope) {
 	l1 := c.L1
 	l2 := l1.Next
 	llc := l2.Next
-	l1.Reset()
+	l1.Reset(fast)
 	l1.HitLatency = m.Costs.CacheL1
 	l2.HitLatency = m.Costs.CacheL2 - m.Costs.CacheL1
 	llc.HitLatency = m.Costs.CacheLLC - m.Costs.CacheL2
 	llc.MemLatency = m.Costs.Mem
-	c.TLB.Reset()
+	c.TLB.Reset(fast)
 	c.BTB.Reset(branch.BTBConfig{
 		Sets: 1024, Ways: 4,
 		TagMode:      m.Spec.EIBRS,
@@ -162,9 +148,9 @@ func (c *Core) reinit(m *model.CPU, sc *simscope.Scope) {
 	c.NoPCID = false
 	c.FusedCmovGuards = false
 	clear(c.Thunks)
-	c.BlockCache = DefaultBlockCache()
-	c.MemFast = DefaultMemFast()
-	c.Superblock = DefaultSuperblock()
+	c.BlockCache = !opts.NoBlockCache
+	c.MemFast = fast
+	c.Superblock = !opts.NoSuperblock
 	// Translation and page-table caches refer to the previous cell's
 	// registry and would be stale even with the generation guard (the
 	// TLB generation is monotonic across Reset, but PTs was replaced).
@@ -205,13 +191,13 @@ func (c *Core) Recycle() {
 // owning scope is released — strictly after the cell's task has
 // finished running — and by Recycle. The compare-and-swap guarantees
 // exactly one recycle per checkout no matter how the two paths
-// interleave. SMT siblings and cores created while pooling was disabled
-// are dropped instead.
+// interleave. SMT siblings and cores built with pooling off are dropped
+// instead.
 func (c *Core) recycle(gen uint64) {
 	if !c.poolGen.CompareAndSwap(gen, gen+1) {
 		return
 	}
-	if c.noPool || !DefaultCorePool() {
+	if c.noPool {
 		return
 	}
 	// Drop everything that could pin a previous cell's memory while the

@@ -68,6 +68,14 @@ func newScope(seed uint64) *simscope.Scope {
 	return &simscope.Scope{FaultSeed: seed, Fault: faultinject.Snapshot()}
 }
 
+// noPoolScope is newScope with core pooling off, for controls that must
+// be constructed fresh.
+func noPoolScope(seed uint64) *simscope.Scope {
+	sc := newScope(seed)
+	sc.Options.NoCorePool = true
+	return sc
+}
+
 // compareCores fails the test when fresh and recycled differ in any
 // observable state: architectural registers, MSRs, microarchitectural
 // stats and geometry, accounting, and the fault-injection draw stream.
@@ -180,8 +188,6 @@ func comparePooledCores(t *testing.T, fresh, recycled *Core) {
 // execute a program to the exact same architectural and accounting
 // state.
 func TestRecycledCoreMatchesFresh(t *testing.T) {
-	prevPool := SetDefaultCorePool(false) // construct controls by hand
-	defer SetDefaultCorePool(prevPool)
 	faultinject.Activate(faultinject.Config{Seed: 77})
 	defer faultinject.Deactivate()
 
@@ -189,19 +195,20 @@ func TestRecycledCoreMatchesFresh(t *testing.T) {
 	for _, m := range models {
 		for seed := uint64(1); seed <= 8; seed++ {
 			t.Run(fmt.Sprintf("%s/dirty=%d", m.Uarch, seed), func(t *testing.T) {
-				// Reference: a genuinely fresh core under scope seed 1000+seed.
-				restore := simscope.Enter(newScope(1000 + seed))
+				// Reference: a genuinely fresh core under scope seed 1000+seed
+				// (pooling off: controls are constructed by hand).
+				restore := simscope.Enter(noPoolScope(1000 + seed))
 				fresh := New(m)
 				restore()
 
 				// Candidate: a fresh core under an unrelated scope, driven
 				// through a dirty cell, then reinitialised for a scope
 				// equivalent to the reference's.
-				restore = simscope.Enter(newScope(555))
+				restore = simscope.Enter(noPoolScope(555))
 				victim := New(m)
 				restore()
 				dirtyCore(t, victim, seed)
-				victim.reinit(m, newScope(1000+seed))
+				victim.reinit(m, newScope(1000+seed), simscope.Options{})
 
 				comparePooledCores(t, fresh, victim)
 
@@ -242,11 +249,9 @@ func TestRecycledCoreMatchesFresh(t *testing.T) {
 // constructed under a scope returns to the pool when the scope is
 // released, and the next construction for the same uarch reuses it.
 func TestScopeReleaseRecyclesCore(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
 	m := model.SkylakeClient()
 	// Drain any cores earlier tests parked for this uarch.
-	for checkoutPooled(m, nil) != nil {
+	for checkoutPooled(m, nil, simscope.Options{}) != nil {
 	}
 
 	sc := &simscope.Scope{FaultSeed: 9}
@@ -271,10 +276,8 @@ func TestScopeReleaseRecyclesCore(t *testing.T) {
 // becomes a no-op after an explicit Recycle: the core must enter the
 // pool exactly once per checkout, never twice.
 func TestRecycleGenerationGuard(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
 	m := model.Broadwell()
-	for checkoutPooled(m, nil) != nil {
+	for checkoutPooled(m, nil, simscope.Options{}) != nil {
 	}
 
 	c := New(m) // no scope: nothing deferred
@@ -289,11 +292,11 @@ func TestRecycleGenerationGuard(t *testing.T) {
 	if got := c.poolGen.Load(); got != gen+1 {
 		t.Fatalf("stale recycle advanced generation: %d", got)
 	}
-	first := checkoutPooled(m, nil)
+	first := checkoutPooled(m, nil, simscope.Options{})
 	if first != c {
 		t.Fatalf("explicit Recycle did not pool the core")
 	}
-	if second := checkoutPooled(m, nil); second == c {
+	if second := checkoutPooled(m, nil, simscope.Options{}); second == c {
 		t.Fatalf("core entered the pool twice")
 	}
 }
@@ -302,10 +305,8 @@ func TestRecycleGenerationGuard(t *testing.T) {
 // both logical cores from the pool — their shared structures must not
 // be recycled into two independent cells.
 func TestSMTPairNeverPooled(t *testing.T) {
-	prevPool := SetDefaultCorePool(true)
-	defer SetDefaultCorePool(prevPool)
 	m := model.SkylakeClient()
-	for checkoutPooled(m, nil) != nil {
+	for checkoutPooled(m, nil, simscope.Options{}) != nil {
 	}
 
 	a := New(m)
@@ -315,7 +316,7 @@ func TestSMTPairNeverPooled(t *testing.T) {
 	}
 	a.Recycle()
 	b.Recycle()
-	if got := checkoutPooled(m, nil); got != nil {
+	if got := checkoutPooled(m, nil, simscope.Options{}); got != nil {
 		t.Fatalf("SMT core was pooled anyway")
 	}
 }
@@ -357,14 +358,12 @@ func TestResetClearsChainLinks(t *testing.T) {
 
 // TestReinitClearsChainLinksAndSuperblock checks the pool path directly:
 // a dirty core with hot chains reinitialised for a new scope must come
-// back with no decoded blocks and with Superblock restored to the
-// package default, exactly like a fresh construction.
+// back with no decoded blocks and with Superblock restored from the new
+// scope's options, exactly like a fresh construction.
 func TestReinitClearsChainLinksAndSuperblock(t *testing.T) {
-	prevPool := SetDefaultCorePool(false)
-	defer SetDefaultCorePool(prevPool)
 	m := model.SkylakeClient()
-	c := New(m)
-	c.Superblock = !DefaultSuperblock() // cell-local override must not survive reuse
+	c := newWithOptions(m, simscope.Options{NoCorePool: true})
+	c.Superblock = false // cell-local override must not survive reuse
 	mapStd(c)
 	a := isa.NewAsm()
 	a.MovI(isa.R1, 0)
@@ -375,14 +374,14 @@ func TestReinitClearsChainLinksAndSuperblock(t *testing.T) {
 	a.Hlt()
 	run(t, c, a.MustAssemble(codeBase))
 
-	c.reinit(m, newScope(4242))
+	c.reinit(m, newScope(4242), simscope.Options{})
 	if len(c.blocks) != 0 {
 		t.Errorf("reinit left %d decoded blocks cached", len(c.blocks))
 	}
 	if c.lastBlock != nil || c.prevBlock != nil {
 		t.Error("reinit left the block dispatch memo populated")
 	}
-	if c.Superblock != DefaultSuperblock() {
-		t.Error("reinit did not restore Superblock to the package default")
+	if !c.Superblock {
+		t.Error("reinit did not restore Superblock from the scope's options")
 	}
 }

@@ -308,7 +308,7 @@ func (e *Engine) submitBatch(cells []BatchCell, out []*Task) {
 	// seed = canonical key hash, activation/budget from the submitter's
 	// scope — identical to Submit) and enqueue them as one planner unit.
 	for _, t := range leaders {
-		sc := &simscope.Scope{FaultSeed: t.key.Hash()}
+		sc := &simscope.Scope{FaultSeed: t.key.Hash(), Options: e.opts}
 		if parent != nil {
 			sc.Fault = parent.Fault
 			sc.Budget, sc.HasBudget = parent.Budget, parent.HasBudget

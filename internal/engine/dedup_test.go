@@ -85,9 +85,7 @@ func TestDedupFoldsEquivalenceClasses(t *testing.T) {
 // canonical key — the property that makes -dedup an output-identical
 // ablation rather than a behaviour change.
 func TestDedupOffKeepsCanonicalSeeds(t *testing.T) {
-	SetDedupDefault(false)
-	defer SetDedupDefault(true)
-	e := New(2)
+	e := NewWithOptions(2, simscope.Options{NoDedup: true})
 	defer e.Close()
 	e.SetCanonicalizer(foldConfig)
 	if e.DedupEnabled() {
@@ -174,9 +172,7 @@ func TestPlanOffMatchesPlanOn(t *testing.T) {
 
 	withPlan := run(t, New(4))
 
-	SetPlanDefault(false)
-	defer SetPlanDefault(true)
-	e := New(4)
+	e := NewWithOptions(4, simscope.Options{NoPlan: true})
 	if e.PlanEnabled() {
 		t.Fatal("plan should be off")
 	}

@@ -56,7 +56,7 @@
 //     global injection queue — its own shard — for submissions from
 //     non-worker goroutines. Submission, dequeue and memo lookup never
 //     serialize on a pool-wide lock.
-//   - With the sweep planner on (the default; see SetPlanDefault),
+//   - With the sweep planner on (the default; see Options.NoPlan),
 //     keyed cells are not pushed to deques at all but topologically
 //     bucketed by their warmup prefix — (workload, uarch), the part of
 //     the key that decides which checkpoint snapshots, pooled cores and
@@ -150,25 +150,6 @@ type SecondLevel interface {
 // It must be pure and total — called on the Submit path for every first
 // sight of a display key.
 type Canonicalizer func(Key) Key
-
-// noPlanDefault / noDedupDefault invert the package defaults so the
-// zero value means "enabled": engines constructed by New bucket cells
-// by warmup prefix and fold canonical equivalence classes unless the
-// CLI ablation flags turned either off before construction.
-var (
-	noPlanDefault  atomic.Bool
-	noDedupDefault atomic.Bool
-)
-
-// SetPlanDefault controls whether engines constructed from now on use
-// the prefix-locality sweep planner (default on). The CLI's -plan flag
-// calls this while parsing flags, before any engine exists.
-func SetPlanDefault(on bool) { noPlanDefault.Store(!on) }
-
-// SetDedupDefault controls whether engines constructed from now on fold
-// canonical equivalence classes onto shared executions (default on; a
-// no-op until a Canonicalizer is installed). The -dedup ablation flag.
-func SetDedupDefault(on bool) { noDedupDefault.Store(!on) }
 
 // Key identifies one simulation cell. Two Submits with equal Keys share
 // one execution; every field therefore must capture everything the
@@ -509,7 +490,8 @@ type Engine struct {
 	slHits        atomic.Uint64 // class executions replayed from the second level
 	inlineFanouts atomic.Uint64 // class hits resolved inline at submit time (SubmitBatch)
 	batchedCells  atomic.Uint64 // cells that entered through SubmitBatch
-	dedup         bool          // fixed at construction (SetDedupDefault)
+	dedup         bool          // !opts.NoDedup
+	opts          simscope.Options
 
 	// canon is the optional display→canonical key mapping (atomic.Value
 	// of canonBox). Install with SetCanonicalizer before the first
@@ -538,18 +520,25 @@ type Engine struct {
 	pushSeq  atomic.Uint64
 }
 
-// New returns an engine with n workers (n < 1 means GOMAXPROCS). Workers
-// start lazily on first submission.
-func New(n int) *Engine {
+// New returns an engine with n workers (n < 1 means GOMAXPROCS) and
+// every host-side accelerator on. Workers start lazily on first
+// submission.
+func New(n int) *Engine { return NewWithOptions(n, simscope.Options{}) }
+
+// NewWithOptions returns an engine with n workers that runs its cells
+// under opts: NoDedup and NoPlan configure the engine itself, and every
+// cell scope carries opts to the simulator layers below.
+func NewWithOptions(n int, opts simscope.Options) *Engine {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
 		jobs:   n,
 		shards: make([]shard, n),
-		dedup:  !noDedupDefault.Load(),
+		dedup:  !opts.NoDedup,
+		opts:   opts,
 	}
-	if !noPlanDefault.Load() {
+	if !opts.NoPlan {
 		e.plan = newPlanner(n)
 	}
 	e.cond = sync.NewCond(&e.idleMu)
@@ -558,6 +547,11 @@ func New(n int) *Engine {
 
 // Jobs returns the worker count.
 func (e *Engine) Jobs() int { return e.jobs }
+
+// Options returns the options the engine stamps onto its cell scopes.
+// Callers that build their own scopes for work on this engine (the
+// harness's attempt scopes, the optimizer's) stamp the same value.
+func (e *Engine) Options() simscope.Options { return e.opts }
 
 // secondLevelBox wraps a SecondLevel for atomic.Value (which rejects
 // bare interface values of varying dynamic type).
@@ -712,7 +706,7 @@ func (e *Engine) Submit(key Key, fn func() (any, error)) *Task {
 	if cz != nil {
 		ckey = cz(key)
 	}
-	sc := &simscope.Scope{FaultSeed: ckey.Hash()}
+	sc := &simscope.Scope{FaultSeed: ckey.Hash(), Options: e.opts}
 	if parent != nil {
 		sc.Fault = parent.Fault
 		sc.Budget, sc.HasBudget = parent.Budget, parent.HasBudget
@@ -1030,9 +1024,10 @@ func (e *Engine) failPending() {
 // carry an explicit engine. Size it with SetDefaultJobs before first
 // use.
 var (
-	defaultMu     sync.Mutex
-	defaultEngine *Engine
-	defaultJobs   int
+	defaultMu      sync.Mutex
+	defaultEngine  *Engine
+	defaultJobs    int
+	defaultOptions simscope.Options
 )
 
 // SetDefaultJobs fixes the worker count of the process-default engine.
@@ -1046,12 +1041,24 @@ func SetDefaultJobs(n int) {
 	}
 }
 
+// SetDefaultOptions fixes the options of the process-default engine.
+// Like SetDefaultJobs, it must be called before the first Default call
+// (the CLI installs the ablation flags this way); afterwards it has no
+// effect.
+func SetDefaultOptions(o simscope.Options) {
+	defaultMu.Lock()
+	defer defaultMu.Unlock()
+	if defaultEngine == nil {
+		defaultOptions = o
+	}
+}
+
 // Default returns the lazily constructed process-default engine.
 func Default() *Engine {
 	defaultMu.Lock()
 	defer defaultMu.Unlock()
 	if defaultEngine == nil {
-		defaultEngine = New(defaultJobs)
+		defaultEngine = NewWithOptions(defaultJobs, defaultOptions)
 	}
 	return defaultEngine
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spectrebench/internal/engine"
+	"spectrebench/internal/simscope"
 )
 
 // TestCellsPrefixStable: the enumeration is deterministic and
@@ -120,9 +121,7 @@ func TestEndToEndDedupMatchesNoDedup(t *testing.T) {
 
 	deduped := run(engine.New(2))
 
-	engine.SetDedupDefault(false)
-	defer engine.SetDedupDefault(true)
-	plain := run(engine.New(2))
+	plain := run(engine.NewWithOptions(2, simscope.Options{NoDedup: true}))
 
 	if !reflect.DeepEqual(deduped, plain) {
 		t.Fatalf("dedup on/off diverge:\n  on:  %v\n  off: %v", deduped, plain)

@@ -1,72 +1,11 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"spectrebench/internal/checkpoint"
-	"spectrebench/internal/cpu"
 	"spectrebench/internal/engine"
 )
-
-// renderBatchCSV is renderBatch with CSV output: the machine-readable
-// records the determinism contract covers alongside the rendered tables.
-func renderBatchCSV(t *testing.T, exps []Experiment, jobs int, faults bool) string {
-	t.Helper()
-	eng := engine.New(jobs)
-	defer eng.Close()
-	cfg := RunConfig{Seed: 7, Faults: faults, Retries: DefaultRetries, Engine: eng}
-	return RenderResults(SuperviseAll(exps, cfg), true, eng)
-}
-
-// TestCheckpointMatrixDeterminism is PR7's hard constraint in test form:
-// rendered output and CSV records are byte-identical across -checkpoint
-// on/off × -superblock on/off × -jobs × fault injection on/off. A cell
-// forked from a checkpointed image (shared stub programs, COW page-table
-// templates, reused JIT compiles) must be indistinguishable from a cell
-// simulated cold — including every fault-injection draw, which is why
-// the faults=true arm exists.
-func TestCheckpointMatrixDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation matrix batch runs are slow")
-	}
-	exps := lookupAll(t, []string{"table3", "fig3", "whatif-v1hw"})
-
-	prevCP := checkpoint.SetDefault(true)
-	prevSB := cpu.DefaultSuperblock()
-	defer func() {
-		checkpoint.SetDefault(prevCP)
-		cpu.SetDefaultSuperblock(prevSB)
-		checkpoint.Clear()
-	}()
-
-	for _, faults := range []bool{false, true} {
-		checkpoint.SetDefault(true)
-		cpu.SetDefaultSuperblock(true)
-		checkpoint.Clear() // reference batch starts from a cold registry
-		want := renderBatch(t, exps, 1, faults)
-		wantCSV := renderBatchCSV(t, exps, 1, faults)
-		for _, jobs := range []int{1, 4} {
-			for _, cp := range []bool{true, false} {
-				for _, sb := range []bool{true, false} {
-					if jobs == 1 && cp && sb {
-						continue // the reference configuration itself
-					}
-					checkpoint.SetDefault(cp)
-					cpu.SetDefaultSuperblock(sb)
-					checkpoint.Clear()
-					name := fmt.Sprintf("jobs=%d/checkpoint=%v/superblock=%v/faults=%v", jobs, cp, sb, faults)
-					if got := renderBatch(t, exps, jobs, faults); got != want {
-						t.Errorf("%s output differs from the all-on reference\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
-					}
-					if got := renderBatchCSV(t, exps, jobs, faults); got != wantCSV {
-						t.Errorf("%s CSV differs from the all-on reference\n--- want ---\n%s\n--- got ---\n%s", name, wantCSV, got)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestCheckpointWarmRegistryDeterminism pins the fork path specifically:
 // a batch run against an already-warm registry — where every cell forks
@@ -80,12 +19,7 @@ func TestCheckpointWarmRegistryDeterminism(t *testing.T) {
 	}
 	exps := lookupAll(t, []string{"table3", "fig3"})
 
-	prev := checkpoint.SetDefault(true)
-	defer func() {
-		checkpoint.SetDefault(prev)
-		checkpoint.Clear()
-	}()
-
+	defer checkpoint.Clear()
 	checkpoint.Clear()
 	cold := renderBatch(t, exps, 1, true)
 	h0, _ := checkpoint.Stats()
@@ -102,16 +36,12 @@ func TestCheckpointWarmRegistryDeterminism(t *testing.T) {
 // TestCheckpointRegistryServesForks sanity-checks coverage inside one
 // batch: a multi-cell experiment list under -checkpoint on must fork at
 // least some state from the registry rather than building every cell
-// cold — otherwise the matrix above proves nothing about forked cells.
+// cold — otherwise the oracle matrix proves nothing about forked cells.
 func TestCheckpointRegistryServesForks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("batch run is slow")
 	}
-	prev := checkpoint.SetDefault(true)
-	defer func() {
-		checkpoint.SetDefault(prev)
-		checkpoint.Clear()
-	}()
+	defer checkpoint.Clear()
 	checkpoint.Clear()
 
 	eng := engine.New(1)

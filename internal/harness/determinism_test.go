@@ -5,8 +5,9 @@ import (
 	"runtime"
 	"testing"
 
-	"spectrebench/internal/cpu"
+	"spectrebench/internal/checkpoint"
 	"spectrebench/internal/engine"
+	"spectrebench/internal/simscope"
 )
 
 // lookupAll resolves experiment IDs, failing the test on a bad ID.
@@ -77,68 +78,163 @@ func TestParallelDeterminismWithFaults(t *testing.T) {
 	}
 }
 
-// TestAblationMatrixDeterminism is PR4's hard constraint in test form:
-// the rendered output is byte-identical across the full ablation matrix
-// — every -jobs value × core pooling on/off × fault injection on/off.
-// Core reuse (reinit instead of reconstruct) and the sharded scheduler
-// must both be invisible in the output.
-func TestAblationMatrixDeterminism(t *testing.T) {
+// oracleLeg is one run of the oracle matrix: a worker count and the
+// accelerators turned off. cold legs start from an empty checkpoint
+// registry; since the registry is process-wide they run one at a time,
+// while every other leg runs in parallel against a warm registry.
+type oracleLeg struct {
+	jobs int
+	opts simscope.Options
+	cold bool
+}
+
+func (l oracleLeg) String() string {
+	name := fmt.Sprintf("jobs=%d", l.jobs)
+	for _, f := range []struct {
+		flag string
+		off  bool
+	}{
+		{"checkpoint", l.opts.NoCheckpoint},
+		{"superblock", l.opts.NoSuperblock},
+		{"corepool", l.opts.NoCorePool},
+		{"memfast", l.opts.NoMemFast},
+	} {
+		if f.off {
+			name += "/" + f.flag + "=off"
+		}
+	}
+	if l.cold {
+		name += "/cold"
+	}
+	return name
+}
+
+// oracleMatrix names one slice of the oracle table: the accelerators a
+// test turns off leg by leg.
+type oracleMatrix int
+
+const (
+	checkpointMatrix oracleMatrix = iota // jobs × checkpoint × superblock
+	corePoolMatrix                       // jobs × corepool
+	memFastMatrix                        // jobs × memfast
+)
+
+// oracleLegs returns the legs of matrix m, leaving out the reference
+// (one worker, every accelerator on): jobs {1,4} × checkpoint ×
+// superblock, each from a cold registry when checkpointing is on; jobs
+// {1,4,8} × corepool; and jobs {1,4} × memfast. A leg an earlier matrix
+// already runs is left out of the later ones, so across the three
+// matrices every leg runs once.
+func oracleLegs(m oracleMatrix) []oracleLeg {
+	var legs [3][]oracleLeg
+	seen := map[oracleLeg]bool{{jobs: 1}: true} // the reference itself
+	add := func(m oracleMatrix, l oracleLeg) {
+		if k := (oracleLeg{jobs: l.jobs, opts: l.opts}); !seen[k] {
+			seen[k] = true
+			legs[m] = append(legs[m], l)
+		}
+	}
+	for _, jobs := range []int{1, 4} {
+		for _, cpOff := range []bool{false, true} {
+			for _, sbOff := range []bool{false, true} {
+				add(checkpointMatrix, oracleLeg{jobs: jobs, opts: simscope.Options{NoCheckpoint: cpOff, NoSuperblock: sbOff}, cold: !cpOff})
+			}
+		}
+	}
+	for _, jobs := range []int{1, 4, 8} {
+		for _, off := range []bool{false, true} {
+			add(corePoolMatrix, oracleLeg{jobs: jobs, opts: simscope.Options{NoCorePool: off}})
+		}
+	}
+	for _, jobs := range []int{1, 4} {
+		for _, off := range []bool{false, true} {
+			add(memFastMatrix, oracleLeg{jobs: jobs, opts: simscope.Options{NoMemFast: off}})
+		}
+	}
+	return legs[m]
+}
+
+// superviseLeg supervises exps once on a throwaway engine configured by
+// leg and renders the results as text and as CSV. It uses
+// SuperviseEach, which installs no process-global state, so legs can
+// run side by side.
+func superviseLeg(exps []Experiment, leg oracleLeg, faults bool) (text, csv string) {
+	eng := engine.NewWithOptions(leg.jobs, leg.opts)
+	defer eng.Close()
+	cfg := RunConfig{Seed: 7, Faults: faults, Retries: DefaultRetries, Engine: eng}
+	res := SuperviseEach(exps, cfg, nil)
+	return RenderResults(res, false, eng), RenderResults(res, true, eng)
+}
+
+// runOracleMatrix checks that rendered output and CSV records are
+// byte-identical between the reference (one worker, every host-side
+// accelerator on) and every leg of matrix m, with and without fault
+// injection — including every fault-injection draw, which is why the
+// faults=true arm exists.
+func runOracleMatrix(t *testing.T, m oracleMatrix) {
 	if testing.Short() {
 		t.Skip("ablation matrix batch runs are slow")
 	}
 	exps := lookupAll(t, []string{"table3", "fig3", "whatif-v1hw", "lebench-detail"})
-
-	prev := cpu.DefaultCorePool()
-	defer cpu.SetDefaultCorePool(prev)
+	defer checkpoint.Clear()
 
 	for _, faults := range []bool{false, true} {
-		cpu.SetDefaultCorePool(true)
-		want := renderBatch(t, exps, 1, faults)
-		for _, jobs := range []int{1, 4, 8} {
-			for _, pool := range []bool{true, false} {
-				if jobs == 1 && pool {
-					continue // the reference configuration itself
+		t.Run(fmt.Sprintf("faults=%v", faults), func(t *testing.T) {
+			checkpoint.Clear() // the reference starts from a cold registry
+			want, wantCSV := superviseLeg(exps, oracleLeg{jobs: 1}, faults)
+			check := func(t *testing.T, leg oracleLeg) {
+				got, gotCSV := superviseLeg(exps, leg, faults)
+				if got != want {
+					t.Errorf("output differs from the reference\n--- want ---\n%s\n--- got ---\n%s", want, got)
 				}
-				cpu.SetDefaultCorePool(pool)
-				name := fmt.Sprintf("jobs=%d/corepool=%v/faults=%v", jobs, pool, faults)
-				if got := renderBatch(t, exps, jobs, faults); got != want {
-					t.Errorf("%s output differs from jobs=1/corepool=on\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
+				if gotCSV != wantCSV {
+					t.Errorf("CSV differs from the reference\n--- want ---\n%s\n--- got ---\n%s", wantCSV, gotCSV)
 				}
 			}
-		}
+			var warm []oracleLeg
+			for _, leg := range oracleLegs(m) {
+				if !leg.cold {
+					warm = append(warm, leg)
+					continue
+				}
+				t.Run(leg.String(), func(t *testing.T) {
+					checkpoint.Clear()
+					check(t, leg)
+				})
+			}
+			t.Run("warm", func(t *testing.T) {
+				for _, leg := range warm {
+					t.Run(leg.String(), func(t *testing.T) {
+						t.Parallel()
+						check(t, leg)
+					})
+				}
+			})
+		})
 	}
 }
 
-// TestMemFastMatrixDeterminism is PR5's hard constraint in test form:
-// the rendered output is byte-identical across -memfast on/off × -jobs
-// × fault injection on/off. Epoch-stamped flushes, MRU way hints, and
-// the translation/page caches are host-side accelerators and must be
-// invisible in the output.
+// TestCheckpointMatrixDeterminism: a cell forked from a checkpointed
+// image (shared stub programs, COW page-table templates, reused JIT
+// compiles) or run without chained superblocks must be
+// indistinguishable from a cell simulated cold, at any worker count.
+// It also runs the jobs=4 leg with every accelerator on.
+func TestCheckpointMatrixDeterminism(t *testing.T) {
+	runOracleMatrix(t, checkpointMatrix)
+}
+
+// TestAblationMatrixDeterminism: core reuse (reinit instead of
+// reconstruct) and the sharded scheduler must both be invisible in the
+// output, at jobs 1, 4 and 8.
+func TestAblationMatrixDeterminism(t *testing.T) {
+	runOracleMatrix(t, corePoolMatrix)
+}
+
+// TestMemFastMatrixDeterminism: epoch-stamped flushes, MRU way hints,
+// and the translation/page caches are host-side accelerators and must
+// be invisible in the output.
 func TestMemFastMatrixDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation matrix batch runs are slow")
-	}
-	exps := lookupAll(t, []string{"table3", "fig3", "whatif-v1hw"})
-
-	prev := cpu.DefaultMemFast()
-	defer cpu.SetDefaultMemFast(prev)
-
-	for _, faults := range []bool{false, true} {
-		cpu.SetDefaultMemFast(true)
-		want := renderBatch(t, exps, 1, faults)
-		for _, jobs := range []int{1, 4} {
-			for _, fast := range []bool{true, false} {
-				if jobs == 1 && fast {
-					continue // the reference configuration itself
-				}
-				cpu.SetDefaultMemFast(fast)
-				name := fmt.Sprintf("jobs=%d/memfast=%v/faults=%v", jobs, fast, faults)
-				if got := renderBatch(t, exps, jobs, faults); got != want {
-					t.Errorf("%s output differs from jobs=1/memfast=on\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
-				}
-			}
-		}
-	}
+	runOracleMatrix(t, memFastMatrix)
 }
 
 // TestCellCacheDedupesSharedCells pins the cache's reason to exist:

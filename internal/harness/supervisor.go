@@ -162,7 +162,8 @@ func Supervise(e Experiment, cfg RunConfig) Result {
 // supervise runs the attempt loop for one experiment. snap is the
 // fault-injection activation snapshot for this batch (nil when faults
 // are off); each attempt gets its own simulation scope carrying the
-// attempt's fault seed, the snapshot, the budget, and the engine —
+// attempt's fault seed, the snapshot, the budget, the engine and its
+// options —
 // everything experiment code and the cells it declares need, with no
 // reads of mutable process state from inside the attempt.
 func supervise(e Experiment, cfg RunConfig, eng *engine.Engine, snap any) Result {
@@ -178,6 +179,7 @@ func supervise(e Experiment, cfg RunConfig, eng *engine.Engine, snap any) Result
 			Budget:    cfg.CycleBudget,
 			HasBudget: true,
 			Tag:       eng,
+			Options:   eng.Options(),
 		}
 		if cfg.Faults {
 			sc.Fault = snap

@@ -8,6 +8,7 @@ import (
 	"spectrebench/internal/isa"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 // Result is the outcome of one engine run.
@@ -76,7 +77,7 @@ func compileSource(src string, jsMit Mitigations) *compiled {
 // reused by every cell that runs the same source.
 func (e *Engine) Run(src string, maxSteps int) (*Result, error) {
 	key := fmt.Sprintf("js/compile|%+v|", e.jsMit) + src
-	if v, ok := checkpoint.Get(key, func() any { return compileSource(src, e.jsMit) }); ok {
+	if v, ok := checkpoint.Get(simscope.Current(), key, func() any { return compileSource(src, e.jsMit) }); ok {
 		return e.runCompiled(v.(*compiled), maxSteps)
 	}
 	return e.runCompiled(compileSource(src, e.jsMit), maxSteps)

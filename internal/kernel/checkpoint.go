@@ -39,7 +39,7 @@ func mitKey(mit Mitigations) string { return mit.CanonicalKey() }
 // reusing the frozen image when a kernel with the same mitigation set
 // has booted before and assembling from scratch otherwise.
 func (k *Kernel) loadStubs() {
-	v, ok := checkpoint.Get("kernel/stubs|"+mitKey(k.Mit), func() any {
+	v, ok := checkpoint.Get(k.C.Scope(), "kernel/stubs|"+mitKey(k.Mit), func() any {
 		// Build on a scratch kernel: buildStubs reads only k.Mit and
 		// layout constants, so the builder needs no core.
 		b := &Kernel{Mit: k.Mit}
@@ -75,7 +75,7 @@ type procImage struct {
 func (k *Kernel) procTableImage(pid, codePages int, extra []Region) (*procImage, bool) {
 	key := fmt.Sprintf("kernel/proctab|pti=%t|code=%d|pid=%d|regions=%+v",
 		k.Mit.PTI, codePages, pid, extra)
-	v, ok := checkpoint.Get(key, func() any {
+	v, ok := checkpoint.Get(k.C.Scope(), key, func() any {
 		reg := mem.NewRegistry()
 		kpt := reg.NewTable(0)
 		var upt *mem.PageTable

@@ -7,23 +7,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
-
-// fastOff is inverted so the zero value means the fast path is on.
-var fastOff atomic.Bool
-
-// SetFastPath enables or disables the last-page pointer cache for
-// subsequently constructed Phys instances, returning the previous
-// setting. The cache is purely host-side — pages are never removed from
-// a Phys, so a cached page pointer can never go stale — and exists
-// behind a switch only so the -memfast ablation exercises the reference
-// map-lookup path.
-func SetFastPath(on bool) (prev bool) { return !fastOff.Swap(!on) }
-
-// FastPath reports whether the fast path is enabled for new Phys
-// instances.
-func FastPath() bool { return !fastOff.Load() }
 
 // PageSize is the architectural page size.
 const PageSize = 4096
@@ -64,9 +48,13 @@ type Phys struct {
 	fast     bool
 }
 
-// NewPhys returns empty physical memory.
-func NewPhys() *Phys {
-	return &Phys{pages: make(map[uint64]*[PageSize]byte), fast: FastPath()}
+// NewPhys returns empty physical memory. fast enables the last-page
+// pointer cache. The cache is purely host-side — pages are never removed
+// from a Phys, so a cached page pointer can never go stale — and sits
+// behind an argument only so the -memfast ablation exercises the
+// reference map-lookup path.
+func NewPhys(fast bool) *Phys {
+	return &Phys{pages: make(map[uint64]*[PageSize]byte), fast: fast}
 }
 
 func (p *Phys) page(pa uint64) *[PageSize]byte {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestPhysReadWrite64(t *testing.T) {
-	p := NewPhys()
+	p := NewPhys(true)
 	if got := p.Read64(0x1000); got != 0 {
 		t.Errorf("untouched memory = %#x, want 0", got)
 	}
@@ -21,7 +21,7 @@ func TestPhysReadWrite64(t *testing.T) {
 }
 
 func TestPhysRoundTripProperty(t *testing.T) {
-	p := NewPhys()
+	p := NewPhys(true)
 	f := func(page uint16, slot uint16, v uint64) bool {
 		pa := uint64(page)<<PageShift | uint64(slot%512)*8
 		p.Write64(pa, v)
@@ -33,7 +33,7 @@ func TestPhysRoundTripProperty(t *testing.T) {
 }
 
 func TestPhysBytesCrossPage(t *testing.T) {
-	p := NewPhys()
+	p := NewPhys(true)
 	data := make([]byte, 2*PageSize+17)
 	for i := range data {
 		data[i] = byte(i * 7)
@@ -50,7 +50,7 @@ func TestPhysBytesCrossPage(t *testing.T) {
 }
 
 func TestPhysReadBytesUnmapped(t *testing.T) {
-	p := NewPhys()
+	p := NewPhys(true)
 	buf := []byte{1, 2, 3, 4}
 	p.ReadBytes(0x123456, buf)
 	for i, b := range buf {
@@ -185,7 +185,7 @@ func TestFaultKindString(t *testing.T) {
 }
 
 func TestPhys64CrossPageNoPanic(t *testing.T) {
-	p := NewPhys()
+	p := NewPhys(true)
 	// A 64-bit access straddling a page boundary must not panic: the
 	// core raises an alignment fault for virtual accesses before they
 	// reach physical memory, but library callers (device DMA, debug

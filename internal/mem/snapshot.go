@@ -47,9 +47,9 @@ func (p *Phys) Snapshot() *PhysImage {
 // NewPhysFrom returns physical memory forked from a snapshot: reads see
 // the image's pages, and the first write to any shared page copies it
 // into the fork (copy-on-write), so a fork costs one map allocation
-// regardless of image size.
-func NewPhysFrom(img *PhysImage) *Phys {
-	return &Phys{pages: make(map[uint64]*[PageSize]byte), base: img.pages, fast: FastPath()}
+// regardless of image size. fast is as for NewPhys.
+func NewPhysFrom(img *PhysImage, fast bool) *Phys {
+	return &Phys{pages: make(map[uint64]*[PageSize]byte), base: img.pages, fast: fast}
 }
 
 // PTImage is an immutable snapshot of a page table's mappings. Safe to

@@ -6,7 +6,7 @@ import "testing"
 // the image's pages, a write privatises only the touched page, and
 // neither the image nor sibling forks observe it.
 func TestPhysSnapshotForkCOW(t *testing.T) {
-	b := NewPhys()
+	b := NewPhys(true)
 	b.Write64(0x1000, 111)
 	b.Write64(0x2008, 222)
 	img := b.Snapshot()
@@ -14,8 +14,8 @@ func TestPhysSnapshotForkCOW(t *testing.T) {
 		t.Fatalf("image has %d pages, want 2", img.Pages())
 	}
 
-	f1 := NewPhysFrom(img)
-	f2 := NewPhysFrom(img)
+	f1 := NewPhysFrom(img, true)
+	f2 := NewPhysFrom(img, true)
 	if got := f1.Read64(0x1000); got != 111 {
 		t.Fatalf("fork read-through: got %d, want 111", got)
 	}
@@ -37,7 +37,7 @@ func TestPhysSnapshotForkCOW(t *testing.T) {
 	}
 
 	// A fresh fork still sees the original image contents.
-	f3 := NewPhysFrom(img)
+	f3 := NewPhysFrom(img, true)
 	if got := f3.Read64(0x1000); got != 111 {
 		t.Errorf("image mutated by fork write: got %d, want 111", got)
 	}
@@ -46,11 +46,11 @@ func TestPhysSnapshotForkCOW(t *testing.T) {
 // TestPhysForkPrivatisationCopiesSharedContents checks that the first
 // write to a shared page starts from the image's bytes, not a zero page.
 func TestPhysForkPrivatisationCopiesSharedContents(t *testing.T) {
-	b := NewPhys()
+	b := NewPhys(true)
 	for off := uint64(0); off < PageSize; off += 8 {
 		b.Write64(0x4000+off, off|1)
 	}
-	f := NewPhysFrom(b.Snapshot())
+	f := NewPhysFrom(b.Snapshot(), true)
 	f.Write64(0x4000, 7) // privatise
 	for off := uint64(8); off < PageSize; off += 8 {
 		if got := f.Read64(0x4000 + off); got != off|1 {
@@ -62,10 +62,10 @@ func TestPhysForkPrivatisationCopiesSharedContents(t *testing.T) {
 // TestPhysForkPopulatedPages checks the population count dedupes pages
 // present in both layers — fork cost accounting depends on it.
 func TestPhysForkPopulatedPages(t *testing.T) {
-	b := NewPhys()
+	b := NewPhys(true)
 	b.Write64(0x1000, 1)
 	b.Write64(0x2000, 2)
-	f := NewPhysFrom(b.Snapshot())
+	f := NewPhysFrom(b.Snapshot(), true)
 	if got := f.PopulatedPages(); got != 2 {
 		t.Fatalf("fresh fork: %d populated pages, want 2", got)
 	}
@@ -82,17 +82,17 @@ func TestPhysForkPopulatedPages(t *testing.T) {
 // TestPhysSnapshotOfFork re-freezes a fork and checks the merged image
 // is self-contained: overlay pages win, untouched base pages survive.
 func TestPhysSnapshotOfFork(t *testing.T) {
-	b := NewPhys()
+	b := NewPhys(true)
 	b.Write64(0x1000, 1)
 	b.Write64(0x2000, 2)
-	f := NewPhysFrom(b.Snapshot())
+	f := NewPhysFrom(b.Snapshot(), true)
 	f.Write64(0x1000, 10)
 	f.Write64(0x3000, 30)
 	img2 := f.Snapshot()
 	if img2.Pages() != 3 {
 		t.Fatalf("merged image has %d pages, want 3", img2.Pages())
 	}
-	g := NewPhysFrom(img2)
+	g := NewPhysFrom(img2, true)
 	for pa, want := range map[uint64]uint64{0x1000: 10, 0x2000: 2, 0x3000: 30} {
 		if got := g.Read64(pa); got != want {
 			t.Errorf("refrozen image at %#x: got %d, want %d", pa, got, want)
@@ -103,10 +103,10 @@ func TestPhysSnapshotOfFork(t *testing.T) {
 // TestPhysForkReadBytesAcrossLayers exercises the bulk path spanning a
 // private page and a base page in one call.
 func TestPhysForkReadBytesAcrossLayers(t *testing.T) {
-	b := NewPhys()
+	b := NewPhys(true)
 	b.Write64(0x1000, 0x1111)
 	b.Write64(0x2000, 0x2222)
-	f := NewPhysFrom(b.Snapshot())
+	f := NewPhysFrom(b.Snapshot(), true)
 	f.Write64(0x1000, 0x9999) // page 1 private, page 2 shared
 	buf := make([]byte, 2*PageSize)
 	f.ReadBytes(0x1000, buf)

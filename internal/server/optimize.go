@@ -211,6 +211,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		sc := &simscope.Scope{
 			Budget:    cpu.DefaultCycleBudget(),
 			HasBudget: true,
+			Options:   s.cfg.Engine.Options(),
 		}
 		if req.Faults {
 			sc.Fault = faultinject.NewActivation(faultinject.Config{Seed: req.Seed})

@@ -141,8 +141,6 @@ type StoreStats struct {
 	Quarantined      uint64 `json:"quarantined"`
 	TmpSwept         int    `json:"tmpSwept"`
 	Segments         int    `json:"segments"`
-	Migrated         int    `json:"migrated"`
-	MigratedV2       int    `json:"migratedV2"`
 	ManifestSegments int    `json:"manifestSegments"`
 	TornTail         int    `json:"tornTail"`
 	DeadRecords      int    `json:"deadRecords"`
@@ -286,8 +284,6 @@ func (s *Server) Stats() StatsSnapshot {
 			Quarantined:      st.Quarantined,
 			TmpSwept:         st.TmpSwept,
 			Segments:         st.Segments,
-			Migrated:         st.Migrated,
-			MigratedV2:       st.MigratedV2,
 			ManifestSegments: st.ManifestSegments,
 			TornTail:         st.TornTail,
 			DeadRecords:      st.DeadRecords,

@@ -16,7 +16,10 @@
 //   - a cycle accumulator, replacing the process-wide counter for
 //     per-experiment cost attribution;
 //   - the most recently fired fault point, replacing the global
-//     last-fired register for failure attribution.
+//     last-fired register for failure attribution;
+//   - the Options naming which host-side accelerators the cell's
+//     simulator layers may use, so an oracle (reference) run and a fast
+//     run can share one process without a process-global switch.
 //
 // The package sits below faultinject and cpu in the dependency order and
 // imports nothing but gls, so every simulator layer can consult it.
@@ -28,6 +31,42 @@ import (
 
 	"spectrebench/internal/gls"
 )
+
+// Options selects the reference oracles the simulator falls back to.
+// Every field turns one host-side accelerator off; the zero value is the
+// production fast path. Output is byte-identical under every setting —
+// that is what makes each "off" path an oracle for its accelerator.
+type Options struct {
+	// NoBlockCache runs the reference interpreter (cpu.Step) instead of
+	// decoded basic blocks.
+	NoBlockCache bool
+	// NoSuperblock stops decoded blocks from chaining into their
+	// resolved successors.
+	NoSuperblock bool
+	// NoMemFast uses eager cache/TLB flushes, full way scans and no
+	// translation or page pointer caches.
+	NoMemFast bool
+	// NoCorePool constructs every core fresh instead of recycling one.
+	NoCorePool bool
+	// NoCheckpoint rebuilds every warmup prefix instead of forking the
+	// process-wide snapshot.
+	NoCheckpoint bool
+	// NoDedup simulates every display key instead of folding canonical
+	// equivalence classes onto one execution (engine only).
+	NoDedup bool
+	// NoPlan schedules cells FIFO instead of bucketing them by warmup
+	// prefix (engine only).
+	NoPlan bool
+}
+
+// OptionsOf returns s's options, or the zero (all-fast) value for a nil
+// scope: code running outside any managed scope takes the fast path.
+func OptionsOf(s *Scope) Options {
+	if s == nil {
+		return Options{}
+	}
+	return s.Options
+}
 
 // Scope is the determinism context for one unit of simulation (a cell or
 // a supervised experiment attempt). The exported fields are set before
@@ -51,6 +90,9 @@ type Scope struct {
 	// Tag carries an arbitrary scheduler handle (the harness stores its
 	// engine here so experiment code finds it without a global).
 	Tag any
+	// Options selects the oracles for everything constructed under this
+	// scope. The engine stamps its own options onto every cell scope.
+	Options Options
 
 	seq       atomic.Uint64
 	cycles    atomic.Uint64

@@ -7,32 +7,40 @@
 // cost are a pure function of its engine.Key (PR 2/4/5's byte-identity
 // guarantees), so a stored result replayed into a later run renders the
 // exact bytes a fresh simulation would. The store's own job is to make
-// that cache survive crashes while absorbing million-cell sweeps: v1
-// wrote one fsynced file per cell, which means a million files and a
-// million fsyncs for a million-cell grid; v2 appends records to a small
-// number of segment logs with group-committed fsyncs and an in-memory
-// index.
+// that cache survive crashes while absorbing million-cell sweeps: it
+// appends records to a small number of segment logs with
+// group-committed fsyncs and keeps an in-memory index.
 //
 // # Layout
 //
 //	<dir>/LOCK                     flock'd while the store is open; holds the owner pid
 //	<dir>/segments/seg-NNNNNN.log  append-only record logs (~4 MB each)
+//	<dir>/segments/side-NNNNNN.log display→canonical link hints
+//	<dir>/segments/MANIFEST        index of the sealed segments
 //	<dir>/quarantine/              damaged bytes set aside by recovery, never deleted
-//	<dir>/cells/                   v1 file-per-entry layout; migrated and removed on open
 //
 // A segment is a sequence of framed records:
 //
 //	offset    size  field
 //	------    ----  -----------------------------------------------
-//	+0        4     magic "SBS2"
+//	+0        4     magic "SBS3"
 //	+4        4     crc32(payload), big endian
 //	+8        4     len(payload), big endian
-//	+12       len   payload: gob(engine.Key) gob(cycles) gob(value)
+//	+12       len   payload: the v3 record layout (see v3.go)
 //
-// The payload encoding is byte-identical to v1's, so migration re-frames
-// each old entry without decoding its value. The full engine.Key in the
-// payload is the content address — the in-memory index is keyed by the
-// struct itself, so a hash collision cannot alias two cells.
+// The full engine.Key in the payload is the content address — the
+// in-memory index is keyed by the struct itself, so a hash collision
+// cannot alias two cells.
+//
+// # Legacy layouts
+//
+// Earlier releases wrote two older layouts: v1 (one file per cell
+// under <dir>/cells/) and v2 (gob-encoded records under the magic
+// "SBS2"). Open refuses both with ErrLegacyFormat before it creates,
+// moves or truncates anything, rather than mistaking a v2 segment for
+// mid-segment rot and quarantining it. Stores that an earlier release
+// migrated to v3 stay readable: their records carry the original gob
+// triple as value codec 0.
 //
 // # Crash safety
 //
@@ -40,8 +48,7 @@
 //     mid-write — can only tear the last record of the newest segment.
 //     The open scan truncates a torn tail (counted in Stats.TornTail,
 //     logged, nothing quarantined: it is the expected debris of a
-//     crash, exactly like v1's swept *.tmp files) and every record
-//     before it stays committed.
+//     crash) and every record before it stays committed.
 //   - Every record carries a CRC32 over its payload. Get re-verifies it
 //     on every read, so a flipped bit on disk is detected, not replayed
 //     into results; the damaged record is set aside in quarantine/ and
@@ -64,8 +71,8 @@
 // # Compaction
 //
 // Records die when a duplicate key is found at scan, when Get
-// quarantines a corrupt record, or when migration/compaction rewrites
-// supersede them. Sealed segments whose records are mostly dead are
+// quarantines a corrupt record, or when compaction rewrites supersede
+// them. Sealed segments whose records are mostly dead are
 // compacted — live records re-appended to the current segment, the old
 // file deleted — by Compact (called periodically by the background
 // flusher, and available to tests and tools).
@@ -82,7 +89,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -103,42 +109,17 @@ import (
 // lock (a second daemon pointed at a live store directory).
 var ErrLocked = errors.New("store: directory is locked by another process")
 
-// ErrMixedSegments reports a segments directory containing both v2 and
-// v3 record formats — a state no crash window of the one-shot v2→v3
-// migration can produce, so it means two stores were spliced together
-// by hand. The store refuses to guess which half is authoritative.
-var ErrMixedSegments = errors.New("store: segments directory mixes v2 and v3 record formats")
-
-// ErrCodecMismatch reports that the on-disk layout is newer than the
-// requested codec (Options.Codec "v2" pointed at a v3 store). Reopen
-// with the v3 codec; the legacy codec never downgrades a store.
-var ErrCodecMismatch = errors.New("store: on-disk format is newer than the requested codec")
-
-// Codec names for Options.Codec.
-const (
-	// CodecV3 (the default) reads and writes the v3 record layout:
-	// fixed-header binary records, display→canonical sidecar, open-time
-	// manifest. Opening a v2 or v1 store migrates it forward once.
-	CodecV3 = "v3"
-	// CodecV2 is the legacy gob-record codec, kept for the
-	// codec-v2-replay ablation: it reads and writes exactly the PR 8
-	// format and performs no migration.
-	CodecV2 = "v2"
-)
-
-var (
-	magic   = [4]byte{'S', 'B', 'S', '2'} // v2 segment record frame
-	magicV1 = [4]byte{'S', 'B', 'C', '1'} // v1 file-per-entry header
-)
+// ErrLegacyFormat reports a store directory in a pre-v3 layout: a v1
+// cells/ directory, a v2 segment log, or the debris of an interrupted
+// v2→v3 migration. Open leaves such a directory untouched.
+var ErrLegacyFormat = errors.New("store: directory holds a legacy (pre-v3) layout")
 
 const (
 	lockName       = "LOCK"
 	segsDirName    = "segments"
-	cellsDirName   = "cells" // v1 layout, migrated on open
 	quarantineName = "quarantine"
 	segPrefix      = "seg-"
 	segExt         = ".log"
-	cellExt        = ".cell"
 	tmpExt         = ".tmp"
 	headerLen      = 12 // magic + crc32 + payload length
 
@@ -174,9 +155,6 @@ type Options struct {
 	// put is counted in Stats.PutErrors). The store serializes appends,
 	// so the injector needs no locking of its own.
 	Fault *faultinject.Injector
-	// Codec selects the record layout: CodecV3 (default, "" means v3)
-	// or CodecV2 (legacy replay ablation). See the codec constants.
-	Codec string
 }
 
 // Stats is a snapshot of the store's counters. The scan fields are
@@ -192,28 +170,22 @@ type Stats struct {
 	// error, injected disk-full).
 	Puts, PutErrors uint64
 	// Quarantined counts damage events whose bytes were moved to
-	// quarantine/ — corrupt spans found by the open scan, damaged v1
-	// entries found by migration, and Get checksum failures since.
+	// quarantine/ — corrupt spans found by the open scan and Get
+	// checksum failures since.
 	Quarantined uint64
 	// TmpSwept counts abandoned temporary files removed at Open (the
-	// debris of a crash mid-write: v1 put temporaries, interrupted
-	// segment rewrites).
+	// debris of a crash mid-write: interrupted segment rewrites).
 	TmpSwept int
 	// TornTail counts segment tails truncated at Open — the partial
 	// record a crash mid-append leaves. Expected debris, not damage.
 	TornTail int
 	// Segments is the number of live segment files.
 	Segments int
-	// Migrated counts v1 entries re-framed into segments by this Open.
-	Migrated int
 	// DeadRecords counts records still occupying segment bytes whose
 	// key has been superseded or quarantined (reclaimed by Compact).
 	DeadRecords int
 	// Compactions counts segments removed or rewritten by Compact.
 	Compactions uint64
-	// MigratedV2 counts v2 records re-encoded into v3 segments by this
-	// Open (0 on every later open: the migration is one-shot).
-	MigratedV2 int
 	// ManifestSegments counts sealed segments indexed straight from the
 	// open-time manifest, without scanning their bytes.
 	ManifestSegments int
@@ -253,7 +225,6 @@ type Store struct {
 	dir    string
 	segDir string
 	opts   Options
-	codec  string // CodecV2 or CodecV3
 
 	lockFile *os.File
 
@@ -262,16 +233,16 @@ type Store struct {
 	mu    sync.RWMutex
 	index map[engine.Key]ref
 	// links resolves a display key's fingerprint to its canonical key
-	// (v3 sidecar; empty under the v2 codec).
+	// (the sidecar).
 	links map[[2]uint64]engine.Key
 
-	// wmu serializes writers: appends, rotation, migration, compaction,
-	// sidecar and manifest writes. Lock order: wmu before mu, never the
+	// wmu serializes writers: appends, rotation, compaction, sidecar and
+	// manifest writes. Lock order: wmu before mu, never the
 	// reverse.
 	wmu      sync.Mutex
 	segs     []*segment // ascending seq; the last is the append target
 	unsynced int
-	// Sidecar write state (v3): links buffer in memory and flush in
+	// Sidecar write state: links buffer in memory and flush in
 	// batches to the side log — they are replay hints, not committed
 	// data, so losing a tail of them in a crash only costs future
 	// lookups a fallback.
@@ -289,29 +260,22 @@ type Store struct {
 	hits, misses, puts, putErrors, quarantined atomic.Uint64
 	compactions, getBatches                    atomic.Uint64
 	sideHits, sideMisses                       atomic.Uint64
-	tmpSwept, tornTail, migrated               int
-	migratedV2, manifestSegs                   int
+	tmpSwept, tornTail, manifestSegs           int
 }
 
 // Open opens (creating if necessary) the store rooted at dir, acquires
-// its exclusive lock, runs the recovery scan over the segment logs, and
-// migrates any v1 (file-per-entry) layout it finds. The returned store
-// must be closed to release the lock (the kernel also releases it if
-// the process dies).
+// its exclusive lock and runs the recovery scan over the segment logs.
+// A directory in a legacy layout is refused with ErrLegacyFormat before
+// anything in it changes. The returned store must be closed to release
+// the lock (the kernel also releases it if the process dies).
 func Open(dir string, opts Options) (*Store, error) {
-	codec := opts.Codec
-	switch codec {
-	case "", CodecV3:
-		codec = CodecV3
-	case CodecV2:
-	default:
-		return nil, fmt.Errorf("store: unknown codec %q (want %q or %q)", opts.Codec, CodecV3, CodecV2)
+	if err := checkLegacy(dir); err != nil {
+		return nil, err
 	}
 	s := &Store{
 		dir:      dir,
 		segDir:   filepath.Join(dir, segsDirName),
 		opts:     opts,
-		codec:    codec,
 		index:    map[engine.Key]ref{},
 		links:    map[[2]uint64]engine.Key{},
 		canonIDs: map[engine.Key]uint32{},
@@ -326,45 +290,16 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.releaseLock()
 		return nil, err
 	}
-	if s.codec == CodecV3 {
-		// Settle any crash window of a previous v2→v3 migration before
-		// the segments directory is (re)created below.
-		if err := s.finishSwap(); err != nil {
-			return fail(err)
-		}
-	}
 	for _, d := range []string{s.segDir, filepath.Join(dir, quarantineName)} {
 		if err := os.MkdirAll(d, 0o777); err != nil {
 			return fail(fmt.Errorf("store: %w", err))
 		}
 	}
-	// Sniff the record format before scanning: mixed directories are
-	// refused, the legacy codec refuses to open a v3 layout, and the v3
-	// codec migrates a v2 layout forward exactly once.
-	ver, err := s.sniffSegments()
-	if err != nil {
-		return fail(err)
-	}
-	switch {
-	case ver == 2 && s.codec == CodecV2:
-		// Legacy store under the legacy codec: nothing to do.
-	case ver == 3 && s.codec == CodecV2:
-		return fail(fmt.Errorf("%w (dir %s holds v3 segments)", ErrCodecMismatch, dir))
-	case ver == 2 && s.codec == CodecV3:
-		if err := s.migrateV2(); err != nil {
-			return fail(err)
-		}
-	}
 	if err := s.recoverScan(); err != nil {
 		return fail(err)
 	}
-	if err := s.migrateV1(); err != nil {
+	if err := s.scanSideLogs(); err != nil {
 		return fail(err)
-	}
-	if s.codec == CodecV3 {
-		if err := s.scanSideLogs(); err != nil {
-			return fail(err)
-		}
 	}
 	if len(s.segs) == 0 {
 		if err := s.addSegmentLocked(1); err != nil {
@@ -377,6 +312,43 @@ func Open(dir string, opts Options) (*Store, error) {
 		go s.flusher()
 	}
 	return s, nil
+}
+
+// checkLegacy returns ErrLegacyFormat if dir holds a v1 cells/
+// directory, migration debris (segments.v3/ or segments.v2old/), or a
+// segment log whose first record carries the v2 magic "SBS2". It only
+// reads: a missing dir is a fresh store.
+func checkLegacy(dir string) error {
+	for _, name := range []string{"cells", segsDirName + ".v3", segsDirName + ".v2old"} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil && fi.IsDir() {
+			return fmt.Errorf("%w (dir %s has %s/)", ErrLegacyFormat, dir, name)
+		}
+	}
+	segDir := filepath.Join(dir, segsDirName)
+	entries, err := os.ReadDir(segDir)
+	if os.IsNotExist(err) {
+		return nil // no segments yet; Open creates them
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, de := range entries {
+		name := de.Name()
+		if de.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segExt) {
+			continue
+		}
+		f, err := os.Open(filepath.Join(segDir, name))
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		var head [4]byte
+		n, _ := f.Read(head[:])
+		f.Close()
+		if n == 4 && string(head[:]) == "SBS2" {
+			return fmt.Errorf("%w (dir %s: %s holds v2 records)", ErrLegacyFormat, dir, name)
+		}
+	}
+	return nil
 }
 
 // acquireLock flocks <dir>/LOCK exclusively and non-blocking, writing
@@ -418,9 +390,9 @@ func (s *Store) logf(format string, args ...any) {
 // rewrites) are removed, every seg-*.log is validated record by record
 // and either indexed, truncated at a torn tail, or — for mid-segment
 // corruption — resynchronised with the damaged span quarantined and the
-// file rewritten without it. Under the v3 codec, sealed segments whose
-// size matches the open-time manifest are indexed straight from it,
-// without reading their bytes.
+// file rewritten without it. Sealed segments whose size matches the
+// open-time manifest are indexed straight from it, without reading their
+// bytes.
 func (s *Store) recoverScan() error {
 	entries, err := os.ReadDir(s.segDir)
 	if err != nil {
@@ -455,69 +427,22 @@ func (s *Store) recoverScan() error {
 	return nil
 }
 
-// parseRec validates the record framed at data[off:] under the store's
-// codec.
-func (s *Store) parseRec(data []byte, off int) (key engine.Key, cycles uint64, plen uint32, n int, err error) {
-	if s.codec == CodecV3 {
-		return parseRecordV3(data, off)
-	}
-	return parseRecord(data, off)
-}
-
-// recMagic is the record frame magic the store writes and scans for.
-func (s *Store) recMagic() []byte {
-	if s.codec == CodecV3 {
-		return magicV3[:]
-	}
-	return magic[:]
-}
-
 // errTorn distinguishes a record torn at end-of-file (expected crash
 // debris) from in-place corruption.
 var errTorn = errors.New("record torn at end of segment")
-
-// parseRecord validates the record framed at data[off:] and decodes its
-// key and cycle count (the value stays encoded). n is the full frame
-// length.
-func parseRecord(data []byte, off int) (key engine.Key, cycles uint64, plen uint32, n int, err error) {
-	if len(data)-off < headerLen {
-		return key, 0, 0, 0, errTorn
-	}
-	if !bytes.Equal(data[off:off+4], magic[:]) {
-		return key, 0, 0, 0, fmt.Errorf("bad magic %q", data[off:off+4])
-	}
-	wantCRC := binary.BigEndian.Uint32(data[off+4 : off+8])
-	plen = binary.BigEndian.Uint32(data[off+8 : off+12])
-	if uint64(len(data)-off-headerLen) < uint64(plen) {
-		return key, 0, 0, 0, errTorn
-	}
-	payload := data[off+headerLen : off+headerLen+int(plen)]
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return key, 0, 0, 0, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", wantCRC, got)
-	}
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(&key); err != nil {
-		return key, 0, 0, 0, fmt.Errorf("key decode: %w", err)
-	}
-	if err := dec.Decode(&cycles); err != nil {
-		return key, 0, 0, 0, fmt.Errorf("cycles decode: %w", err)
-	}
-	return key, cycles, plen, headerLen + int(plen), nil
-}
 
 // resyncOffset finds the next offset >= from at which a fully valid
 // record is framed, or len(data) when the rest of the segment is
 // unsalvageable. CRC validation makes a payload byte that happens to
 // spell the magic a non-issue.
-func (s *Store) resyncOffset(data []byte, from int) int {
-	want := s.recMagic()
+func resyncOffset(data []byte, from int) int {
 	for from < len(data) {
-		i := bytes.Index(data[from:], want)
+		i := bytes.Index(data[from:], magicV3[:])
 		if i < 0 {
 			return len(data)
 		}
 		cand := from + i
-		if _, _, _, _, err := s.parseRec(data, cand); err == nil {
+		if _, _, _, _, err := parseRecordV3(data, cand); err == nil {
 			return cand
 		}
 		from = cand + 1
@@ -547,7 +472,7 @@ func (s *Store) scanSegment(name string) error {
 	off := 0
 	end := len(data)
 	for off < len(data) {
-		key, cycles, _, n, err := s.parseRec(data, off)
+		key, cycles, _, n, err := parseRecordV3(data, off)
 		if err == nil {
 			recs = append(recs, scanRec{key: key, cycles: cycles, off: off, n: n})
 			off += n
@@ -563,7 +488,7 @@ func (s *Store) scanSegment(name string) error {
 		}
 		// In-place corruption: set the damaged span aside and resume at
 		// the next record boundary.
-		next := s.resyncOffset(data, off+1)
+		next := resyncOffset(data, off+1)
 		s.quarantineBytes(fmt.Sprintf("%s@%d", name, off), data[off:next])
 		s.quarantined.Add(1)
 		s.logf("store: %s: quarantined %d corrupt bytes at offset %d: %v", name, next-off, off, err)
@@ -611,8 +536,7 @@ func (s *Store) scanSegment(name string) error {
 	seg.size = int64(end)
 	for _, r := range recs {
 		if _, dup := s.index[r.key]; dup {
-			// Two records claim one key (a crash between a migration
-			// append and the v1 removal, or a healed re-put): the first
+			// Two records claim one key (a healed re-put): the first
 			// stays authoritative, the second is dead weight for
 			// Compact.
 			seg.dead++
@@ -654,136 +578,6 @@ func (s *Store) addSegmentLocked(seq uint64) error {
 	return nil
 }
 
-// readV1Entry reads and validates one v1 (file-per-entry) cell file,
-// returning its key, cycle count and still-encoded payload.
-func readV1Entry(path string) (key engine.Key, cycles uint64, payload []byte, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return key, 0, nil, err
-	}
-	if len(raw) == 0 {
-		return key, 0, nil, errors.New("zero-length entry")
-	}
-	if len(raw) < headerLen {
-		return key, 0, nil, fmt.Errorf("truncated header (%d bytes)", len(raw))
-	}
-	if !bytes.Equal(raw[:4], magicV1[:]) {
-		return key, 0, nil, fmt.Errorf("bad magic %q", raw[:4])
-	}
-	wantCRC := binary.BigEndian.Uint32(raw[4:8])
-	plen := binary.BigEndian.Uint32(raw[8:12])
-	payload = raw[headerLen:]
-	if uint32(len(payload)) != plen {
-		return key, 0, nil, fmt.Errorf("payload length %d, header says %d", len(payload), plen)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return key, 0, nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", wantCRC, got)
-	}
-	dec := gob.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(&key); err != nil {
-		return key, 0, nil, fmt.Errorf("key decode: %w", err)
-	}
-	if err := dec.Decode(&cycles); err != nil {
-		return key, 0, nil, fmt.Errorf("cycles decode: %w", err)
-	}
-	return key, cycles, payload, nil
-}
-
-// migrateV1 re-frames a v1 file-per-entry layout into the segment logs:
-// valid entries append (payload bytes unchanged — the value is never
-// decoded), damaged entries quarantine exactly as the v1 recovery scan
-// did, stale temporaries are swept. The v1 files are removed only after
-// the appends are synced, so a crash anywhere leaves a layout the next
-// open migrates idempotently (an entry present in both places is
-// recognised by its indexed key and the file simply removed).
-func (s *Store) migrateV1() error {
-	cellsDir := filepath.Join(s.dir, cellsDirName)
-	entries, err := os.ReadDir(cellsDir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: migrate: %w", err)
-	}
-	var names []string
-	for _, de := range entries {
-		if !de.IsDir() {
-			names = append(names, de.Name())
-		}
-	}
-	sort.Strings(names)
-	var migratedFiles []string
-	for _, name := range names {
-		path := filepath.Join(cellsDir, name)
-		if strings.HasSuffix(name, tmpExt) {
-			os.Remove(path)
-			s.tmpSwept++
-			s.logf("store: swept abandoned temp file %s", name)
-			continue
-		}
-		if !strings.HasSuffix(name, cellExt) {
-			continue
-		}
-		key, cycles, payload, err := readV1Entry(path)
-		if err != nil {
-			s.quarantineMove(cellsDir, name, err)
-			continue
-		}
-		if _, dup := s.index[key]; dup {
-			// Already in a segment: a previous migration crashed after
-			// the append but before this remove.
-			migratedFiles = append(migratedFiles, path)
-			continue
-		}
-		if s.codec == CodecV3 {
-			// Re-head the v1 gob triple as a v3 record; the gob stream is
-			// carried whole (value codec 0), still never decoded.
-			payload = encodeV3Payload(key, cycles, vcodecGobTriple, payload)
-		}
-		seg, off, err := s.appendLocked(payload)
-		if err != nil {
-			return fmt.Errorf("store: migrate %s: %w", name, err)
-		}
-		s.index[key] = ref{seg: seg, off: off, plen: uint32(len(payload)), cycles: cycles}
-		seg.live++
-		s.migrated++
-		migratedFiles = append(migratedFiles, path)
-	}
-	if s.migrated > 0 {
-		s.logf("store: migrated %d v1 entries into segment logs", s.migrated)
-	}
-	if len(migratedFiles) > 0 {
-		if err := s.syncCurrentLocked(); err != nil {
-			return fmt.Errorf("store: migrate sync: %w", err)
-		}
-		for _, p := range migratedFiles {
-			os.Remove(p)
-		}
-	}
-	// Remove the empty v1 directory; harmless to leave if stragglers
-	// (quarantine-move failures) remain.
-	os.Remove(cellsDir)
-	return nil
-}
-
-// quarantineMove moves a damaged v1 entry file into quarantine/ under a
-// non-clobbering name.
-func (s *Store) quarantineMove(srcDir, name string, cause error) {
-	src := filepath.Join(srcDir, name)
-	dst := filepath.Join(s.dir, quarantineName, name)
-	for i := 1; ; i++ {
-		if _, err := os.Lstat(dst); os.IsNotExist(err) {
-			break
-		}
-		dst = filepath.Join(s.dir, quarantineName, fmt.Sprintf("%s.%d", name, i))
-	}
-	if err := os.Rename(src, dst); err != nil {
-		s.logf("store: quarantine of %s failed: %v (entry left unindexed)", name, err)
-	}
-	s.quarantined.Add(1)
-	s.logf("store: quarantined %s: %v", name, cause)
-}
-
 // quarantineBytes preserves a damaged byte span under quarantine/ with
 // a non-clobbering name. Failure to write is logged, never fatal — the
 // span is already dropped from the live store either way.
@@ -819,7 +613,7 @@ func (s *Store) appendLocked(payload []byte) (*segment, int64, error) {
 		seg = s.segs[len(s.segs)-1]
 	}
 	buf := make([]byte, headerLen+len(payload))
-	copy(buf, s.recMagic())
+	copy(buf, magicV3[:])
 	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
 	binary.BigEndian.PutUint32(buf[8:12], uint32(len(payload)))
 	copy(buf[headerLen:], payload)
@@ -864,9 +658,7 @@ func (s *Store) rotateLocked() error {
 	if err := s.addSegmentLocked(cur.seq + 1); err != nil {
 		return err
 	}
-	if s.codec == CodecV3 {
-		s.writeManifestLocked()
-	}
+	s.writeManifestLocked()
 	return nil
 }
 
@@ -909,7 +701,7 @@ func (s *Store) flusher() {
 }
 
 // lookup resolves key to its record ref under one read lock. A key
-// absent from the index may still resolve through the v3 sidecar: the
+// absent from the index may still resolve through the sidecar: the
 // link redirects the read to the canonical class record, whose embedded
 // key (want) then differs from the requested one.
 func (s *Store) lookup(key engine.Key) (ent ref, want engine.Key, found, viaLink bool) {
@@ -930,30 +722,13 @@ func (s *Store) lookup(key engine.Key) (ent ref, want engine.Key, found, viaLink
 }
 
 // readRecord reads and fully validates the record at ent, expecting it
-// to hold want's key, and decodes its value under the store's codec.
+// to hold want's key, and decodes its value.
 func (s *Store) readRecord(ent ref, want engine.Key) (raw []byte, val any, cycles uint64, err error) {
 	raw = make([]byte, headerLen+int(ent.plen))
 	if _, err = ent.seg.f.ReadAt(raw, ent.off); err != nil {
 		return raw, nil, 0, err
 	}
-	if s.codec == CodecV3 {
-		val, cycles, err = decodeRecordV3(raw, want)
-		return raw, val, cycles, err
-	}
-	var gotKey engine.Key
-	gotKey, cycles, _, _, err = parseRecord(raw, 0)
-	if err == nil {
-		dec := gob.NewDecoder(bytes.NewReader(raw[headerLen:]))
-		var k engine.Key
-		dec.Decode(&k)
-		dec.Decode(&cycles)
-		if derr := dec.Decode(&val); derr != nil {
-			err = fmt.Errorf("value decode: %w", derr)
-		}
-	}
-	if err == nil && gotKey != want {
-		err = fmt.Errorf("record holds key %v", gotKey)
-	}
+	val, cycles, err = decodeRecordV3(raw, want)
 	return raw, val, cycles, err
 }
 
@@ -1031,7 +806,7 @@ func (s *Store) put(key engine.Key, val any, cycles uint64) error {
 		return nil
 	}
 
-	payload, err := s.encodePayload(key, cycles, val)
+	payload, err := encodeV3Record(key, cycles, val)
 	if err != nil {
 		return err // typically: concrete type not registered with gob
 	}
@@ -1059,27 +834,6 @@ func (s *Store) put(key engine.Key, val any, cycles uint64) error {
 	s.mu.Unlock()
 	s.puts.Add(1)
 	return nil
-}
-
-// encodePayload builds a record payload for (key, cycles, val) under
-// the store's codec: the v3 fixed-header binary layout (gob only for
-// value types that need it), or the legacy v2 gob triple.
-func (s *Store) encodePayload(key engine.Key, cycles uint64, val any) ([]byte, error) {
-	if s.codec == CodecV3 {
-		return encodeV3Record(key, cycles, val)
-	}
-	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(&key); err != nil {
-		return nil, err
-	}
-	if err := enc.Encode(cycles); err != nil {
-		return nil, err
-	}
-	if err := enc.Encode(&val); err != nil {
-		return nil, err
-	}
-	return payload.Bytes(), nil
 }
 
 // Compact reclaims dead segment bytes: a sealed segment none of whose
@@ -1138,7 +892,7 @@ func (s *Store) relocateLocked(seg *segment) error {
 		if _, err := seg.f.ReadAt(raw, r.off); err != nil {
 			return err
 		}
-		if _, _, _, _, err := s.parseRec(raw, 0); err != nil {
+		if _, _, _, _, err := parseRecordV3(raw, 0); err != nil {
 			// Rot discovered during compaction: treat it like a Get
 			// self-heal — quarantine, drop, move on.
 			s.mu.Lock()
@@ -1200,8 +954,6 @@ func (s *Store) Stats() Stats {
 		SidecarMisses:    s.sideMisses.Load(),
 		TmpSwept:         s.tmpSwept,
 		TornTail:         s.tornTail,
-		Migrated:         s.migrated,
-		MigratedV2:       s.migratedV2,
 		ManifestSegments: s.manifestSegs,
 	}
 	s.mu.RLock()
@@ -1235,10 +987,8 @@ func (s *Store) Close() error {
 	if !s.opts.NoSync && len(s.segs) > 0 && s.unsynced > 0 {
 		err = s.segs[len(s.segs)-1].f.Sync()
 	}
-	if s.codec == CodecV3 {
-		s.flushSideLocked(!s.opts.NoSync)
-		s.writeManifestLocked()
-	}
+	s.flushSideLocked(!s.opts.NoSync)
+	s.writeManifestLocked()
 	if s.side != nil {
 		s.side.Close()
 		s.side = nil

@@ -61,14 +61,10 @@ func recordOffsets(t *testing.T, path string) [][2]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parse := parseRecord
-	if len(data) >= 4 && string(data[:4]) == string(magicV3[:]) {
-		parse = parseRecordV3
-	}
 	var out [][2]int
 	off := 0
 	for off < len(data) {
-		_, _, _, n, err := parse(data, off)
+		_, _, _, n, err := parseRecordV3(data, off)
 		if err != nil {
 			t.Fatalf("%s: record at %d: %v", path, off, err)
 		}
@@ -584,166 +580,117 @@ func killHelperMain(dir string) {
 	}
 }
 
-// ---- v1 migration coverage ----
+// ---- legacy layouts ----
 
-// writeV1Entry builds a v1 (file-per-entry) cell file byte-for-byte the
-// way PR 6's store did: SBC1 magic, CRC32, payload length, then
-// gob(key) gob(cycles) gob(value), under cells/<hash>.cell.
-func writeV1Entry(t *testing.T, dir string, key engine.Key, val any, cycles uint64) string {
+// gobTriple encodes gob(key) gob(cycles) gob(value) as one stream: the
+// payload of v1 cell files and v2 records, and the value bytes of a
+// vcodecGobTriple v3 record.
+func gobTriple(t *testing.T, key engine.Key, cycles uint64, val any) []byte {
 	t.Helper()
-	var payload bytes.Buffer
-	enc := gob.NewEncoder(&payload)
-	if err := enc.Encode(&key); err != nil {
-		t.Fatal(err)
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for _, v := range []any{&key, cycles, &val} {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := enc.Encode(cycles); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(&val); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, headerLen+payload.Len())
-	copy(buf, magicV1[:])
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	binary.BigEndian.PutUint32(buf[8:12], uint32(payload.Len()))
-	copy(buf[headerLen:], payload.Bytes())
-
-	cells := filepath.Join(dir, cellsDirName)
-	if err := os.MkdirAll(cells, 0o777); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(cells, fmt.Sprintf("%016x%s", key.Hash(), cellExt))
-	if err := os.WriteFile(path, buf, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return buf.Bytes()
 }
 
-// TestMigrationFromV1 opens a v1 file-per-entry directory with the
-// segmented store: every valid entry must survive into the segment
-// logs, damaged entries must quarantine exactly as v1 recovery did,
-// temp debris is swept, and the cells/ directory is gone afterwards.
-func TestMigrationFromV1(t *testing.T) {
-	dir := t.TempDir()
-	const n = 6
-	vals := map[int]any{
-		0: float64(0.5),
-		1: []string{"a", "b"},
-		2: structVal{Name: "m", Xs: []float64{9}},
-		3: float64(3.5),
-		4: float64(4.5),
-		5: float64(5.5),
-	}
-	files := make([]string, n)
-	for i := 0; i < n; i++ {
-		files[i] = writeV1Entry(t, dir, testKey(i), vals[i], uint64(10+i))
-	}
-	// Damage entry 1 (bit flip) and entry 4 (truncation); leave an
-	// abandoned v1 put temporary.
-	raw, err := os.ReadFile(files[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x40
-	if err := os.WriteFile(files[1], raw, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(files[4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(files[4], fi.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, cellsDirName, "put-7-1.tmp"), []byte("partial"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	damaged := map[int]bool{1: true, 4: true}
+// frame wraps payload in the magic/CRC32/length header all three
+// layouts share.
+func frame(magic string, payload []byte) []byte {
+	buf := make([]byte, headerLen+len(payload))
+	copy(buf, magic)
+	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(buf[8:12], uint32(len(payload)))
+	copy(buf[headerLen:], payload)
+	return buf
+}
 
-	s := openT(t, dir)
-	st := s.Stats()
-	if st.Migrated != n-len(damaged) {
-		t.Errorf("migrated=%d, want %d", st.Migrated, n-len(damaged))
-	}
-	if st.Quarantined != uint64(len(damaged)) {
-		t.Errorf("quarantined=%d, want %d", st.Quarantined, len(damaged))
-	}
-	if st.TmpSwept != 1 {
-		t.Errorf("tmpSwept=%d, want 1", st.TmpSwept)
-	}
-	if s.Len() != n-len(damaged) {
-		t.Errorf("Len=%d, want %d", s.Len(), n-len(damaged))
-	}
-	for i := 0; i < n; i++ {
-		val, cycles, ok := s.Get(testKey(i))
-		if damaged[i] {
-			if ok {
-				t.Errorf("key %d: served despite v1 damage", i)
+// writeFiles creates each relative path under dir with its contents
+// (a trailing slash makes an empty directory).
+func writeFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for rel, data := range files {
+		path := filepath.Join(dir, rel)
+		if rel[len(rel)-1] == '/' {
+			if err := os.MkdirAll(path, 0o777); err != nil {
+				t.Fatal(err)
 			}
 			continue
 		}
-		if !ok {
-			t.Errorf("key %d: lost in migration", i)
-			continue
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(val, vals[i]) || cycles != uint64(10+i) {
-			t.Errorf("key %d: got (%#v, %d), want (%#v, %d)", i, val, cycles, vals[i], 10+i)
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The old layout is gone; the damaged originals are preserved in
-	// quarantine/ for inspection.
-	if _, err := os.Stat(filepath.Join(dir, cellsDirName)); !os.IsNotExist(err) {
-		t.Errorf("cells/ still present after migration")
-	}
-	qents, err := os.ReadDir(filepath.Join(dir, quarantineName))
+}
+
+// treeOf maps every path under dir to its bytes ("/" marks a
+// directory): the before/after picture of a refused Open.
+func treeOf(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		if fi.IsDir() {
+			tree[rel] = "/"
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		tree[rel] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qents) != len(damaged) {
-		t.Errorf("quarantine/ holds %d files, want %d", len(qents), len(damaged))
-	}
-	s.Close()
+	return tree
 }
 
-// TestMigrationIsIdempotent: a second open after migration finds a pure
-// v2 layout — nothing re-migrated, nothing re-quarantined, every entry
-// still served. It also covers the crash-mid-migration case: an entry
-// present in both a segment and a leftover v1 file is recognised and
-// the file simply removed.
-func TestMigrationIsIdempotent(t *testing.T) {
-	dir := t.TempDir()
-	const n = 4
-	for i := 0; i < n; i++ {
-		writeV1Entry(t, dir, testKey(i), float64(i), uint64(i))
+// TestLegacyFormatRefused: a v1 cells/ directory, a v2 segment log and
+// the debris of an interrupted v2→v3 migration are each refused with
+// ErrLegacyFormat, and Open leaves every name and byte in place — no
+// LOCK created, nothing quarantined, moved or truncated.
+func TestLegacyFormatRefused(t *testing.T) {
+	v1 := frame("SBC1", gobTriple(t, testKey(0), 10, 0.5))
+	v2 := append(frame("SBS2", gobTriple(t, testKey(0), 10, 0.5)),
+		frame("SBS2", gobTriple(t, testKey(1), 11, []string{"a"}))...)
+	layouts := map[string]map[string][]byte{
+		"v1": {
+			"cells/00000000000000aa.cell": v1,
+			"cells/put-7-1.tmp":           []byte("partial"),
+		},
+		"v2": {
+			"LOCK":                    []byte("4242\n"),
+			"quarantine/":             nil,
+			"segments/seg-000001.log": v2,
+			"segments/seg-000002.log": v2[:len(v2)-5], // torn tail
+		},
+		"migration-debris": {
+			"segments/seg-000001.log":    frame("SBS3", encodeV3Payload(testKey(0), 10, vcodecGobTriple, gobTriple(t, testKey(0), 10, 0.5))),
+			"segments.v3/seg-000001.log": v2,
+		},
 	}
-	s := openT(t, dir)
-	if s.Stats().Migrated != n {
-		t.Fatalf("migrated=%d, want %d", s.Stats().Migrated, n)
+	for name, files := range layouts {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeFiles(t, dir, files)
+			before := treeOf(t, dir)
+			if s, err := Open(dir, Options{NoSync: true, Logf: t.Logf}); !errors.Is(err, ErrLegacyFormat) {
+				if s != nil {
+					s.Close()
+				}
+				t.Fatalf("Open = %v, want ErrLegacyFormat", err)
+			}
+			if after := treeOf(t, dir); !reflect.DeepEqual(before, after) {
+				t.Errorf("refused Open changed the directory:\nbefore %q\nafter  %q", before, after)
+			}
+		})
 	}
-	s.Close()
-
-	// Simulate a crash between a migration append and the v1 remove: a
-	// v1 file re-appears for an already-migrated key.
-	writeV1Entry(t, dir, testKey(0), float64(0), 0)
-
-	s2 := openT(t, dir)
-	st := s2.Stats()
-	if st.Migrated != 0 {
-		t.Errorf("second open migrated=%d, want 0", st.Migrated)
-	}
-	if st.Quarantined != 0 || st.TornTail != 0 {
-		t.Errorf("second open quarantined=%d tornTail=%d, want 0/0", st.Quarantined, st.TornTail)
-	}
-	if s2.Len() != n {
-		t.Errorf("Len=%d, want %d", s2.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if val, cycles, ok := s2.Get(testKey(i)); !ok || val != float64(i) || cycles != uint64(i) {
-			t.Errorf("key %d: got (%v, %d, %v), want (%v, %d, true)", i, val, cycles, ok, float64(i), i)
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, cellsDirName)); !os.IsNotExist(err) {
-		t.Errorf("cells/ still present after second open")
-	}
-	s2.Close()
 }

@@ -1,13 +1,11 @@
-// v3 record layout, sidecar link index, open-time manifest, batched
-// reads, and the one-shot v2→v3 migration.
+// v3 record layout, sidecar link index, open-time manifest and batched
+// reads.
 //
 // # v3 records
 //
-// A v3 segment carries the same outer frame as v2 — magic, CRC32,
-// payload length — under the magic "SBS3". What changed is the payload:
-// v2 gob-encodes (key, cycles, value) as one stream, which costs a
-// reflective encode on every Put and a reflective decode on every warm
-// Get. The v3 payload is a fixed binary header plus raw bytes:
+// A segment record is framed by magic "SBS3", CRC32 and payload length.
+// The payload is a fixed binary header plus raw bytes, so Put and warm
+// Get never pay a reflective gob round-trip for the key:
 //
 //	offset  size  field
 //	------  ----  ---------------------------------------------
@@ -23,10 +21,10 @@
 //
 // The value bytes are codec-tagged per record: float64 cells — the
 // entire gridbench workload — store 8 raw bytes (vcodecFloat64);
-// anything else stores a self-contained gob stream (vcodecGob); records
-// carried forward by migration store the original v1/v2 gob triple
-// untouched (vcodecGobTriple), so migration never decodes a value it
-// might not have a registered type for. Key and cycles are readable
+// anything else stores a self-contained gob stream (vcodecGob). Records
+// that earlier releases migrated from the v1/v2 layouts carry the
+// original gob triple untouched (vcodecGobTriple); they are still read,
+// never written. Key and cycles are readable
 // with four slice indexes — the open scan and warm Gets never touch
 // gob unless the value itself needs it.
 //
@@ -57,19 +55,6 @@
 // straight from it without reading the logs; any mismatch (crash,
 // self-heal rewrite, compaction) falls back to the full scan of that
 // segment. The current (unsealed) segment is always scanned.
-//
-// # v2 → v3 migration
-//
-// Opening a v2-layout store under the v3 codec migrates it exactly
-// once: the v2 scan machinery runs first (torn tails truncated,
-// corrupt spans quarantined — quarantine/ lives outside segments/ and
-// is preserved), then every live record is re-framed as a v3
-// vcodecGobTriple record into a fresh segments.v3/ directory, fsynced,
-// and swapped in: segments → segments.v2old, segments.v3 → segments,
-// remove segments.v2old. Each rename is atomic, so every crash window
-// leaves a state finishSwap recognises and settles on the next open.
-// The legacy v2 codec (Options.Codec "v2") never migrates and refuses
-// a v3 directory with ErrCodecMismatch.
 package store
 
 import (
@@ -96,8 +81,8 @@ var (
 // Value codecs (payload byte 1).
 const (
 	// vcodecGobTriple: the value bytes are a complete v1/v2 payload —
-	// gob(key) gob(cycles) gob(value) — carried whole by migration so
-	// the value is never re-encoded.
+	// gob(key) gob(cycles) gob(value) — as migrated stores hold them.
+	// Read only.
 	vcodecGobTriple = 0
 	// vcodecFloat64: 8 raw big-endian bits. The float64 cell values of
 	// grid sweeps skip gob entirely.
@@ -185,9 +170,9 @@ func parseV3Payload(payload []byte) (key engine.Key, cycles uint64, vcodec byte,
 	return key, cycles, vcodec, payload[off:], nil
 }
 
-// parseRecordV3 validates the v3 record framed at data[off:] — the v3
-// counterpart of parseRecord, same frame, binary payload header instead
-// of gob.
+// parseRecordV3 validates the record framed at data[off:] and decodes
+// its key and cycle count (the value stays encoded). n is the full frame
+// length.
 func parseRecordV3(data []byte, off int) (key engine.Key, cycles uint64, plen uint32, n int, err error) {
 	if len(data)-off < headerLen {
 		return key, 0, 0, 0, errTorn
@@ -280,234 +265,6 @@ func fingerprint(k engine.Key) [2]uint64 {
 }
 
 // ---------------------------------------------------------------------
-// Format sniffing and the v2→v3 migration.
-
-// sniffSegments classifies the record format of the segments directory
-// by the leading magic of each segment log: 2, 3, or 0 for a directory
-// with no records to judge. Mixed formats are refused — no crash window
-// of the migration can produce them.
-func (s *Store) sniffSegments() (int, error) {
-	entries, err := os.ReadDir(s.segDir)
-	if err != nil {
-		return 0, fmt.Errorf("store: sniff: %w", err)
-	}
-	ver := 0
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segExt) {
-			continue
-		}
-		var head [4]byte
-		f, err := os.Open(filepath.Join(s.segDir, name))
-		if err != nil {
-			return 0, fmt.Errorf("store: sniff %s: %w", name, err)
-		}
-		n, _ := f.Read(head[:])
-		f.Close()
-		if n < 4 {
-			continue // empty or sub-header torn tail; the scan handles it
-		}
-		var this int
-		switch {
-		case bytes.Equal(head[:], magic[:]):
-			this = 2
-		case bytes.Equal(head[:], magicV3[:]):
-			this = 3
-		default:
-			continue // corrupt leading record; the scan quarantines it
-		}
-		if ver != 0 && ver != this {
-			return 0, fmt.Errorf("%w (dir %s)", ErrMixedSegments, s.segDir)
-		}
-		ver = this
-	}
-	return ver, nil
-}
-
-// finishSwap settles any crash window of a previous migration's
-// directory swap, before the segments directory is touched. The swap
-// protocol (build segments.v3 → rename segments to segments.v2old →
-// rename segments.v3 to segments → remove segments.v2old) makes every
-// interrupted state recognisable:
-//
-//   - segments.v3 present alongside segments: the build was cut short —
-//     segments is still authoritative; remove the debris and re-migrate.
-//   - segments absent, segments.v3 present: both were complete and the
-//     first rename happened; finish the second.
-//   - segments.v2old present alongside segments: everything but the
-//     final remove happened; remove it.
-//   - segments absent, only segments.v2old present: roll the first
-//     rename back (cannot arise from the protocol — the build precedes
-//     the renames — but restores service if segments.v3 was lost).
-func (s *Store) finishSwap() error {
-	v3dir := s.segDir + ".v3"
-	olddir := s.segDir + ".v2old"
-	segsExists := dirExists(s.segDir)
-	if !segsExists && dirExists(v3dir) {
-		if err := os.Rename(v3dir, s.segDir); err != nil {
-			return fmt.Errorf("store: finish migration swap: %w", err)
-		}
-		s.logf("store: finished interrupted v2->v3 migration swap")
-		segsExists = true
-	}
-	if segsExists && dirExists(v3dir) {
-		os.RemoveAll(v3dir)
-		s.logf("store: removed incomplete migration build %s", filepath.Base(v3dir))
-	}
-	if dirExists(olddir) {
-		if segsExists {
-			os.RemoveAll(olddir)
-		} else if err := os.Rename(olddir, s.segDir); err != nil {
-			return fmt.Errorf("store: restore pre-migration segments: %w", err)
-		}
-	}
-	return nil
-}
-
-func dirExists(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
-}
-
-// migrateV2 rebuilds a v2-layout segments directory in the v3 record
-// format, exactly once. The v2 recovery scan runs first — under the v2
-// codec, with all its repairs (torn tails, quarantined spans, segment
-// rewrites) — then every live record's gob-triple payload is re-framed
-// as a v3 vcodecGobTriple record (values never decoded) into
-// segments.v3/, fsynced, and atomically swapped in. Only runs from
-// Open, before any concurrent access exists.
-func (s *Store) migrateV2() error {
-	s.codec = CodecV2
-	err := s.recoverScan()
-	s.codec = CodecV3
-	if err != nil {
-		return err
-	}
-
-	v3dir := s.segDir + ".v3"
-	os.RemoveAll(v3dir)
-	if err := os.MkdirAll(v3dir, 0o777); err != nil {
-		return fmt.Errorf("store: migrate v2: %w", err)
-	}
-
-	// Stable record order: walk segments by sequence, records by offset,
-	// so repeated migrations of identical stores build identical files.
-	type liveRec struct {
-		key engine.Key
-		r   ref
-	}
-	bySeg := map[*segment][]liveRec{}
-	for k, r := range s.index {
-		bySeg[r.seg] = append(bySeg[r.seg], liveRec{key: k, r: r})
-	}
-
-	var (
-		out     *os.File
-		outSize int64
-		outSeq  uint64
-		written []string
-	)
-	nextOut := func() error {
-		if out != nil {
-			if !s.opts.NoSync {
-				if err := out.Sync(); err != nil {
-					return err
-				}
-			}
-			if err := out.Close(); err != nil {
-				return err
-			}
-		}
-		outSeq++
-		name := fmt.Sprintf("%s%06d%s", segPrefix, outSeq, segExt)
-		f, err := os.OpenFile(filepath.Join(v3dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
-		if err != nil {
-			return err
-		}
-		out, outSize = f, 0
-		written = append(written, name)
-		return nil
-	}
-	if err := nextOut(); err != nil {
-		return fmt.Errorf("store: migrate v2: %w", err)
-	}
-	for _, seg := range s.segs {
-		recs := bySeg[seg]
-		sort.Slice(recs, func(i, j int) bool { return recs[i].r.off < recs[j].r.off })
-		for _, lr := range recs {
-			raw := make([]byte, headerLen+int(lr.r.plen))
-			if _, err := seg.f.ReadAt(raw, lr.r.off); err != nil {
-				return fmt.Errorf("store: migrate v2: read %s@%d: %w", seg.name, lr.r.off, err)
-			}
-			if _, _, _, _, err := parseRecord(raw, 0); err != nil {
-				// Rot between the scan and this read: quarantine and move
-				// on, exactly as a Get self-heal would.
-				s.quarantineBytes(fmt.Sprintf("%s@%d", seg.name, lr.r.off), raw)
-				s.quarantined.Add(1)
-				s.logf("store: migrate v2: quarantined record %s@%d: %v", seg.name, lr.r.off, err)
-				continue
-			}
-			payload := encodeV3Payload(lr.key, lr.r.cycles, vcodecGobTriple, raw[headerLen:])
-			frame := make([]byte, headerLen+len(payload))
-			copy(frame, magicV3[:])
-			binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-			binary.BigEndian.PutUint32(frame[8:12], uint32(len(payload)))
-			copy(frame[headerLen:], payload)
-			if outSize >= segMaxBytes {
-				if err := nextOut(); err != nil {
-					return fmt.Errorf("store: migrate v2: %w", err)
-				}
-			}
-			if _, err := out.WriteAt(frame, outSize); err != nil {
-				return fmt.Errorf("store: migrate v2: %w", err)
-			}
-			outSize += int64(len(frame))
-			s.migratedV2++
-		}
-	}
-	if !s.opts.NoSync {
-		if err := out.Sync(); err != nil {
-			return fmt.Errorf("store: migrate v2: %w", err)
-		}
-	}
-	if err := out.Close(); err != nil {
-		return fmt.Errorf("store: migrate v2: %w", err)
-	}
-	if !s.opts.NoSync {
-		if err := syncDir(v3dir); err != nil {
-			return fmt.Errorf("store: migrate v2: %w", err)
-		}
-	}
-
-	// The swap. Each rename is atomic; finishSwap settles any crash
-	// between them on the next open.
-	for _, seg := range s.segs {
-		seg.f.Close()
-	}
-	s.segs = nil
-	s.index = map[engine.Key]ref{}
-	olddir := s.segDir + ".v2old"
-	if err := os.Rename(s.segDir, olddir); err != nil {
-		return fmt.Errorf("store: migrate v2: %w", err)
-	}
-	if err := os.Rename(v3dir, s.segDir); err != nil {
-		return fmt.Errorf("store: migrate v2: %w", err)
-	}
-	os.RemoveAll(olddir)
-	s.logf("store: migrated %d v2 records to the v3 layout (%d segments)", s.migratedV2, len(written))
-	return nil
-}
-
-func syncDir(path string) error {
-	d, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// ---------------------------------------------------------------------
 // Manifest: skip-scan index for sealed segments.
 
 // manifestRec is one live record in a manifest entry.
@@ -532,9 +289,6 @@ type manifestSeg struct {
 // CRC, short payload — yields nil: the manifest is an optimization, the
 // scan is the authority.
 func (s *Store) loadManifest() map[string]manifestSeg {
-	if s.codec != CodecV3 {
-		return nil
-	}
 	raw, err := os.ReadFile(filepath.Join(s.segDir, manifestName))
 	if err != nil || len(raw) < headerLen || !bytes.Equal(raw[:4], magicManifest[:]) {
 		return nil
@@ -617,7 +371,7 @@ func (s *Store) indexFromManifest(name string, m manifestSeg) bool {
 // scanned at open and never listed). Failures are logged, never fatal —
 // a missing manifest only costs the next open a scan. Caller holds wmu.
 func (s *Store) writeManifestLocked() {
-	if s.codec != CodecV3 || len(s.segs) == 0 {
+	if len(s.segs) == 0 {
 		return
 	}
 	sealed := s.segs[:len(s.segs)-1]
@@ -795,7 +549,7 @@ func (s *Store) parseSideChunk(chunk []byte, canon *[]engine.Key) bool {
 // process, the buffered side-log append serves the next one. Never
 // fails; duplicate folds are dropped early.
 func (s *Store) PutLink(display, canonical engine.Key) {
-	if s.codec != CodecV3 || s.closed.Load() || display == canonical {
+	if s.closed.Load() || display == canonical {
 		return
 	}
 	fp := fingerprint(display)
@@ -819,7 +573,7 @@ func (s *Store) PutLink(display, canonical engine.Key) {
 // acquisitions are measurable at that volume. Semantically identical
 // to calling PutLink per pair.
 func (s *Store) PutLinkBatch(pairs []engine.LinkPair) {
-	if s.codec != CodecV3 || s.closed.Load() || len(pairs) == 0 {
+	if s.closed.Load() || len(pairs) == 0 {
 		return
 	}
 	s.wmu.Lock()

@@ -5,19 +5,14 @@ import (
 	"testing"
 )
 
-// withFastPath runs f under both fast-path settings as subtests,
-// restoring the package flag afterwards. Epoch-bump and eager-clear
-// flushes must be observationally identical.
-func withFastPath(t *testing.T, f func(t *testing.T)) {
+// withFastPath runs f under both fast-path settings as subtests.
+// Epoch-bump and eager-clear flushes must be observationally identical.
+func withFastPath(t *testing.T, f func(t *testing.T, fast bool)) {
 	for _, mode := range []struct {
 		name string
 		on   bool
 	}{{"fast", true}, {"eager", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			prev := SetFastPath(mode.on)
-			defer SetFastPath(prev)
-			f(t)
-		})
+		t.Run(mode.name, func(t *testing.T) { f(t, mode.on) })
 	}
 }
 
@@ -25,8 +20,8 @@ func withFastPath(t *testing.T, f func(t *testing.T)) {
 // or not — must be dead to Lookup and Valid, and inserts must reclaim
 // the dead ways.
 func TestEpochFlushAllObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withFastPath(t, func(t *testing.T, fast bool) {
+		tl := New(4, 2, fast)
 		tl.Insert(1, 1, pte(0x1000, false))
 		tl.Insert(2, 2, pte(0x2000, true))
 		tl.FlushAll()
@@ -50,8 +45,8 @@ func TestEpochFlushAllObservability(t *testing.T) {
 // kill exactly the non-global entries, leaving globals live — the PCID
 // economics of §5.1 depend on this distinction.
 func TestEpochFlushNonGlobalSparesGlobals(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withFastPath(t, func(t *testing.T, fast bool) {
+		tl := New(4, 2, fast)
 		tl.Insert(1, 1, pte(0x1000, false))
 		tl.Insert(2, 1, pte(0x2000, true))
 		tl.Insert(3, 2, pte(0x3000, false))
@@ -88,8 +83,8 @@ func TestEpochFlushNonGlobalSparesGlobals(t *testing.T) {
 // resurrected or double-counted by a later targeted flush, and a
 // same-PCID entry inserted after the bump must still be flushable.
 func TestEpochFlushPCIDOnEpochDeadEntries(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withFastPath(t, func(t *testing.T, fast bool) {
+		tl := New(4, 2, fast)
 		tl.Insert(1, 3, pte(0x1000, false))
 		tl.FlushAll()
 		tl.FlushPCID(3) // entry already epoch-dead; must be a no-op
@@ -112,21 +107,21 @@ func TestEpochFlushPCIDOnEpochDeadEntries(t *testing.T) {
 // state — no live entries, zero statistics — and the next insert/lookup
 // sequence must behave exactly as on a new TLB.
 func TestEpochResetObservability(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
-		tl := New(4, 2)
+	withFastPath(t, func(t *testing.T, fast bool) {
+		tl := New(4, 2, fast)
 		tl.Insert(1, 1, pte(0x1000, false))
 		tl.Insert(2, 1, pte(0x2000, true))
 		tl.Lookup(1, 1)
 		tl.Lookup(9, 9)
 		tl.FlushAll()
-		tl.Reset()
+		tl.Reset(fast)
 		if tl.Valid() != 0 {
 			t.Fatalf("Valid after Reset = %d, want 0", tl.Valid())
 		}
 		if tl.Hits != 0 || tl.Misses != 0 || tl.Flushes != 0 {
 			t.Fatalf("stats after Reset = %d/%d/%d, want zeros", tl.Hits, tl.Misses, tl.Flushes)
 		}
-		fresh := New(4, 2)
+		fresh := New(4, 2, fast)
 		for _, step := range []struct {
 			vpn  uint64
 			pcid uint16
@@ -144,9 +139,9 @@ func TestEpochResetObservability(t *testing.T) {
 // TLB in exactly the state a second Lookup would — same PTE, same hit
 // count, and the same LRU consequences for later evictions.
 func TestRehitMatchesLookup(t *testing.T) {
-	withFastPath(t, func(t *testing.T) {
+	withFastPath(t, func(t *testing.T, fast bool) {
 		mk := func() *TLB {
-			tl := New(1, 2)
+			tl := New(1, 2, fast)
 			tl.Insert(10, 1, pte(0xa000, false))
 			tl.Insert(20, 1, pte(0xb000, false))
 			return tl
@@ -188,7 +183,7 @@ func TestRehitMatchesLookup(t *testing.T) {
 // cache relies on: Gen changes on every insert, flush, and reset, and
 // never on lookups.
 func TestGenTracksMutations(t *testing.T) {
-	tl := New(4, 2)
+	tl := New(4, 2, true)
 	g := tl.Gen()
 	tl.Lookup(1, 1)
 	tl.Lookup(2, 2)
@@ -204,7 +199,7 @@ func TestGenTracksMutations(t *testing.T) {
 		{"FlushPCID", func() { tl.FlushPCID(1) }},
 		{"FlushNonGlobal", func() { tl.FlushNonGlobal() }},
 		{"FlushAll", func() { tl.FlushAll() }},
-		{"Reset", func() { tl.Reset() }},
+		{"Reset", func() { tl.Reset(true) }},
 	} {
 		before := tl.Gen()
 		mut.f()
@@ -225,22 +220,15 @@ type tlbObs struct {
 // Lookup, all four flushes and Reset through an epoch-stamped and an
 // eager-clear TLB and requires identical observations: every lookup
 // outcome and PTE, Hits/Misses/Flushes, and Valid. Resets on the fast
-// instance flip the package flag at random so mixed histories are
-// covered.
+// instance switch its mode at random so mixed histories are covered.
 func TestEpochDifferentialFuzz(t *testing.T) {
-	prev := FastPath()
-	defer SetFastPath(prev)
-
-	mk := func(fast bool) *TLB {
-		SetFastPath(fast)
-		return New(4, 2)
-	}
+	mk := func(fast bool) *TLB { return New(4, 2, fast) }
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		ref := mk(false)
 		fast := mk(true)
 		fastMode := true
-		apply := func(tl *TLB, k int, vpn uint64, pcid uint16, global bool) tlbObs {
+		apply := func(tl *TLB, fast bool, k int, vpn uint64, pcid uint16, global bool) tlbObs {
 			switch k {
 			case 0:
 				tl.Insert(vpn, pcid, pte(vpn<<12, global))
@@ -256,7 +244,7 @@ func TestEpochDifferentialFuzz(t *testing.T) {
 			case 5:
 				tl.FlushVPN(vpn)
 			case 6:
-				tl.Reset()
+				tl.Reset(fast)
 			}
 			return tlbObs{}
 		}
@@ -284,10 +272,8 @@ func TestEpochDifferentialFuzz(t *testing.T) {
 			if k == 6 {
 				fastMode = r.Intn(2) == 0
 			}
-			SetFastPath(false)
-			refObs := apply(ref, k, vpn, pcid, global)
-			SetFastPath(fastMode)
-			fastObs := apply(fast, k, vpn, pcid, global)
+			refObs := apply(ref, false, k, vpn, pcid, global)
+			fastObs := apply(fast, fastMode, k, vpn, pcid, global)
 			if refObs != fastObs {
 				t.Fatalf("seed %d step %d: op %d (vpn %d pcid %d global %v): eager %+v fast %+v",
 					seed, step, k, vpn, pcid, global, refObs, fastObs)

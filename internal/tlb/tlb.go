@@ -9,7 +9,7 @@
 // # Memory-path fast path
 //
 // Like internal/cache, the TLB supports epoch-stamped invalidation
-// behind the package-level fast-path switch (see SetFastPath): each
+// behind the fast argument of New and Reset: each
 // entry records the validity epochs it was inserted under, and the two
 // bulk flushes become O(1) epoch bumps. Two epochs are needed because
 // the TLB has two bulk-invalidation granularities: FlushAll kills
@@ -28,22 +28,7 @@
 // still the first match the scan would find.
 package tlb
 
-import (
-	"sync/atomic"
-
-	"spectrebench/internal/mem"
-)
-
-// fastOff is inverted so the zero value means the fast path is on.
-var fastOff atomic.Bool
-
-// SetFastPath enables or disables epoch-bump flushes for subsequently
-// constructed or Reset TLBs, returning the previous setting. Both modes
-// produce byte-identical simulated state.
-func SetFastPath(on bool) (prev bool) { return !fastOff.Swap(!on) }
-
-// FastPath reports whether the fast path is enabled for new TLBs.
-func FastPath() bool { return !fastOff.Load() }
+import "spectrebench/internal/mem"
 
 // Entry is a cached translation.
 type Entry struct {
@@ -63,7 +48,7 @@ type TLB struct {
 	ways  int
 	mask  uint64 // sets-1 when sets is a power of two, else 0 with pow2 false
 	pow2  bool
-	fast  bool // captured from FastPath at New/Reset
+	fast  bool // fixed by New/Reset
 	lines []Entry
 	clock uint64
 
@@ -72,7 +57,7 @@ type TLB struct {
 	// only for non-global entries. An entry is live iff
 	//   valid && epoch matches && (global || ngEpoch matches).
 	// The eager path clears valid bits instead; the predicate holds in
-	// both modes, so mixed histories (flag flips between Resets) are
+	// both modes, so mixed histories (mode changes between Resets) are
 	// safe.
 	epoch   uint64
 	ngEpoch uint64
@@ -84,9 +69,10 @@ type TLB struct {
 	Hits, Misses, Flushes uint64
 }
 
-// New returns a TLB with the given geometry.
-func New(sets, ways int) *TLB {
-	t := &TLB{sets: sets, ways: ways, lines: make([]Entry, sets*ways), fast: FastPath()}
+// New returns a TLB with the given geometry. fast selects epoch-bump
+// bulk flushes; both modes produce byte-identical simulated state.
+func New(sets, ways int, fast bool) *TLB {
+	t := &TLB{sets: sets, ways: ways, lines: make([]Entry, sets*ways), fast: fast}
 	if sets > 0 && sets&(sets-1) == 0 {
 		t.mask = uint64(sets - 1)
 		t.pow2 = true
@@ -305,11 +291,11 @@ func (t *TLB) Valid() int {
 // (epoch bumps on the fast path, in-place zeroing otherwise), the LRU
 // clock and all statistics return to zero. Unlike FlushAll it does not
 // count as a flush — reuse is host-side recycling, not a simulated TLB
-// event. Reset re-captures the package fast-path setting so pooled
-// cores honour an ablation flip at their next checkout.
-func (t *TLB) Reset() {
+// event. fast replaces the setting New fixed, so a pooled TLB follows
+// the options of its next owner.
+func (t *TLB) Reset(fast bool) {
 	t.gen++
-	t.fast = FastPath()
+	t.fast = fast
 	if t.fast {
 		t.epoch++
 		t.ngEpoch++
@@ -321,6 +307,9 @@ func (t *TLB) Reset() {
 	t.clock = 0
 	t.Hits, t.Misses, t.Flushes = 0, 0, 0
 }
+
+// Fast reports whether the TLB uses epoch-bump bulk flushes.
+func (t *TLB) Fast() bool { return t.fast }
 
 // ResetStats zeroes the hit/miss/flush counters.
 func (t *TLB) ResetStats() { t.Hits, t.Misses, t.Flushes = 0, 0, 0 }

@@ -12,7 +12,7 @@ func pte(pa uint64, global bool) mem.PTE {
 }
 
 func TestLookupInsert(t *testing.T) {
-	tl := New(16, 4)
+	tl := New(16, 4, true)
 	if _, ok := tl.Lookup(5, 1); ok {
 		t.Fatal("empty TLB hit")
 	}
@@ -28,7 +28,7 @@ func TestLookupInsert(t *testing.T) {
 }
 
 func TestGlobalMatchesAnyPCID(t *testing.T) {
-	tl := New(16, 4)
+	tl := New(16, 4, true)
 	tl.Insert(9, 1, pte(0x9000, true))
 	for _, pcid := range []uint16{0, 1, 7, 4095} {
 		if _, ok := tl.Lookup(9, pcid); !ok {
@@ -38,7 +38,7 @@ func TestGlobalMatchesAnyPCID(t *testing.T) {
 }
 
 func TestFlushPCID(t *testing.T) {
-	tl := New(16, 4)
+	tl := New(16, 4, true)
 	tl.Insert(1, 1, pte(0x1000, false))
 	tl.Insert(2, 2, pte(0x2000, false))
 	tl.Insert(3, 1, pte(0x3000, true)) // global, tagged 1
@@ -55,7 +55,7 @@ func TestFlushPCID(t *testing.T) {
 }
 
 func TestFlushNonGlobal(t *testing.T) {
-	tl := New(16, 4)
+	tl := New(16, 4, true)
 	tl.Insert(1, 1, pte(0x1000, false))
 	tl.Insert(2, 1, pte(0x2000, true))
 	tl.FlushNonGlobal()
@@ -72,7 +72,7 @@ func TestFlushNonGlobal(t *testing.T) {
 }
 
 func TestFlushVPN(t *testing.T) {
-	tl := New(16, 4)
+	tl := New(16, 4, true)
 	tl.Insert(7, 1, pte(0x7000, false))
 	tl.Insert(7, 2, pte(0x7000, false))
 	tl.Insert(8, 1, pte(0x8000, false))
@@ -89,7 +89,7 @@ func TestFlushVPN(t *testing.T) {
 }
 
 func TestEvictionLRU(t *testing.T) {
-	tl := New(1, 2) // one set, two ways
+	tl := New(1, 2, true) // one set, two ways
 	tl.Insert(10, 1, pte(0xa000, false))
 	tl.Insert(20, 1, pte(0xb000, false))
 	tl.Lookup(10, 1) // 10 becomes MRU
@@ -103,7 +103,7 @@ func TestEvictionLRU(t *testing.T) {
 }
 
 func TestInsertUpdatesExisting(t *testing.T) {
-	tl := New(4, 2)
+	tl := New(4, 2, true)
 	tl.Insert(4, 1, pte(0x4000, false))
 	tl.Insert(4, 1, pte(0x6000, false))
 	got, ok := tl.Lookup(4, 1)
@@ -116,7 +116,7 @@ func TestInsertUpdatesExisting(t *testing.T) {
 }
 
 func TestStatsCount(t *testing.T) {
-	tl := New(8, 2)
+	tl := New(8, 2, true)
 	tl.Lookup(1, 1)
 	tl.Insert(1, 1, pte(0x1000, false))
 	tl.Lookup(1, 1)
@@ -132,7 +132,7 @@ func TestStatsCount(t *testing.T) {
 // Property: insert then lookup under the same PCID always hits with the
 // inserted translation.
 func TestInsertLookupProperty(t *testing.T) {
-	tl := New(64, 8)
+	tl := New(64, 8, true)
 	f := func(vpn uint64, pcid uint16, pa uint64) bool {
 		vpn &= 0xfffff
 		p := pte(pa&^uint64(mem.PageMask), false)
@@ -152,7 +152,7 @@ func TestInsertLookupProperty(t *testing.T) {
 // identical to Lookup.
 func TestSetRefMatchesLookup(t *testing.T) {
 	mk := func() *TLB {
-		tl := New(4, 2)
+		tl := New(4, 2, true)
 		tl.Insert(8, 1, pte(0x8000, false)) // set 0
 		tl.Insert(12, 1, pte(0xc000, true)) // set 0, global
 		return tl
@@ -191,7 +191,7 @@ func TestSetRefMatchesLookup(t *testing.T) {
 // SetRef taken before a full flush still works afterwards (entries are
 // invalidated in place, never reallocated).
 func TestSetRefValidAcrossFlush(t *testing.T) {
-	tl := New(4, 2)
+	tl := New(4, 2, true)
 	tl.Insert(8, 1, pte(0x8000, false))
 	ref := tl.SetFor(8)
 	if _, ok := ref.Lookup(8, 1); !ok {

@@ -14,6 +14,7 @@ import (
 	"spectrebench/internal/isa"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 // Benchmark is one LEBench microbenchmark.
@@ -91,7 +92,7 @@ func runOne(m *model.CPU, mit kernel.Mitigations, b Benchmark) (float64, error) 
 // uses this to run the suite inside a guest). It returns per-iteration
 // cycles.
 func RunOn(c *cpu.Core, k *kernel.Kernel, b Benchmark) (float64, error) {
-	prog, err := benchProgram(b)
+	prog, err := benchProgram(c.Scope(), b)
 	if err != nil {
 		return 0, err
 	}
@@ -120,8 +121,8 @@ type assembled struct {
 // checkpointed warmup each benchmark is assembled once per process and
 // the immutable program is shared by every machine that runs it — host
 // and guest alike.
-func benchProgram(b Benchmark) (*isa.Program, error) {
-	v, ok := checkpoint.Get("lebench/prog|"+b.Name, func() any {
+func benchProgram(sc *simscope.Scope, b Benchmark) (*isa.Program, error) {
+	v, ok := checkpoint.Get(sc, "lebench/prog|"+b.Name, func() any {
 		prog, err := assembleBench(b)
 		return &assembled{prog: prog, err: err}
 	})

@@ -12,6 +12,7 @@ import (
 	"spectrebench/internal/isa"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 	"spectrebench/internal/vmm"
 )
 
@@ -62,7 +63,7 @@ func Run(m *model.CPU, hostMit, guestMit kernel.Mitigations, name string) (*Resu
 		return fl
 	}
 
-	prog, err := benchProgram(name)
+	prog, err := benchProgram(hv.C.Scope(), name)
 	if err != nil {
 		return nil, err
 	}
@@ -92,8 +93,8 @@ type assembled struct {
 // Only the host-side assembly is checkpointed; the VM itself (disk
 // format traffic included) always runs cold, because formatting charges
 // guest cycles and VM exits that appear in the measured output.
-func benchProgram(name string) (*isa.Program, error) {
-	v, ok := checkpoint.Get("lfs/prog|"+name, func() any {
+func benchProgram(sc *simscope.Scope, name string) (*isa.Program, error) {
+	v, ok := checkpoint.Get(sc, "lfs/prog|"+name, func() any {
 		prog, err := buildProgram(name)
 		return &assembled{prog: prog, err: err}
 	})

@@ -14,6 +14,7 @@ import (
 	"spectrebench/internal/isa"
 	"spectrebench/internal/kernel"
 	"spectrebench/internal/model"
+	"spectrebench/internal/simscope"
 )
 
 // Benchmark is one PARSEC kernel.
@@ -66,7 +67,7 @@ func Run(m *model.CPU, mit kernel.Mitigations, name string) (float64, error) {
 	defer c.Recycle()
 	k := kernel.New(c, mit)
 
-	prog, err := benchProgram(bench)
+	prog, err := benchProgram(c.Scope(), bench)
 	if err != nil {
 		return 0, err
 	}
@@ -91,8 +92,8 @@ type assembled struct {
 // benchProgram assembles b's program, reusing the checkpointed assembly
 // when the same kernel has run before — the emitted code depends only
 // on the benchmark name, and the program is immutable once assembled.
-func benchProgram(b *Benchmark) (*isa.Program, error) {
-	v, ok := checkpoint.Get("parsec/prog|"+b.Name, func() any {
+func benchProgram(sc *simscope.Scope, b *Benchmark) (*isa.Program, error) {
+	v, ok := checkpoint.Get(sc, "parsec/prog|"+b.Name, func() any {
 		prog, err := assembleBench(b)
 		return &assembled{prog: prog, err: err}
 	})
